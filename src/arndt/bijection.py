@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .core import (
     Composition,
+    ResidueSystem,
     ScaledConstraint,
     ceil_div,
     residue_system,
@@ -75,6 +76,20 @@ def _require_unscaled(cons: ScaledConstraint) -> None:
         raise ValueError(f"the bijection is defined only for k = 0, got k = {cons.k}")
 
 
+def _pair_to_block(a: int, b: int, s: int, t: int) -> tuple[int, int]:
+    # For a complete pair known to satisfy s*a > t*b, so that ones >= 0.
+    q, r = divmod(b, s)
+    lift = ceil_div(r * t + 1, s)
+    return a - q * t - lift, q * (s + t) + r + lift
+
+
+def _block_to_pair(ones: int, anchor: int, rs: ResidueSystem, s: int, t: int):
+    # decompose rejects anchors outside the residue system.
+    q, r = rs.decompose(anchor)
+    lift = ceil_div(r * t + 1, s)
+    return ones + q * t + lift, q * s + r
+
+
 def map_pair(p: ArndtPair, cons: ScaledConstraint) -> OnesBlock:
     """Image of one complete pair (b >= 1) under the forward map.
 
@@ -87,12 +102,7 @@ def map_pair(p: ArndtPair, cons: ScaledConstraint) -> OnesBlock:
     s, t = cons.s, cons.t
     if s * p.a <= t * p.b:
         raise ValueError(f"pair ({p.a}, {p.b}) violates {s}*a > {t}*b")
-    q, r = divmod(p.b, s)
-    lift = ceil_div(r * t + 1, s)
-    ones = p.a - q * t - lift
-    # s*a > t*b forces a >= q*t + lift, so the run length is >= 0.
-    assert ones >= 0
-    return OnesBlock(ones, q * (s + t) + r + lift)
+    return OnesBlock(*_pair_to_block(p.a, p.b, s, t))
 
 
 def unmap_block(blk: OnesBlock, cons: ScaledConstraint) -> ArndtPair | int:
@@ -107,10 +117,8 @@ def unmap_block(blk: OnesBlock, cons: ScaledConstraint) -> ArndtPair | int:
     _require_unscaled(cons)
     if blk.anchor is None:
         return blk.ones
-    q, r = residue_system(cons).decompose(blk.anchor)
-    s, t = cons.s, cons.t
-    lift = ceil_div(r * t + 1, s)
-    return ArndtPair(blk.ones + q * t + lift, q * s + r)
+    rs = residue_system(cons)
+    return ArndtPair(*_block_to_pair(blk.ones, blk.anchor, rs, cons.s, cons.t))
 
 
 def forward(c: Composition, cons: ScaledConstraint) -> Composition:
@@ -127,12 +135,13 @@ def forward(c: Composition, cons: ScaledConstraint) -> Composition:
             f"({','.join(map(str, c.parts))}) violates "
             f"{cons.s}*a > {cons.t}*b on some pair"
         )
+    s, t = cons.s, cons.t
     parts = c.parts
     out: list[int] = []
     for i in range(0, len(parts) - 1, 2):
-        blk = map_pair(ArndtPair(parts[i], parts[i + 1]), cons)
-        out.extend([1] * blk.ones)
-        out.append(blk.anchor)
+        ones, anchor = _pair_to_block(parts[i], parts[i + 1], s, t)
+        out.extend([1] * ones)
+        out.append(anchor)
     if len(parts) % 2:
         out.extend([1] * parts[-1])
     return Composition(tuple(out))
@@ -146,21 +155,14 @@ def backward(c: Composition, cons: ScaledConstraint) -> Composition:
     '2,1,2,1'
     """
     _require_unscaled(cons)
-    rs = residue_system(cons)
-    for p in c.parts:
-        if not rs.contains(p):
-            raise ValueError(
-                f"part {p} outside residue system "
-                f"{list(rs.residues)} (mod {rs.modulus})"
-            )
+    rs, s, t = residue_system(cons), cons.s, cons.t
     out: list[int] = []
     ones = 0
     for p in c.parts:
         if p == 1:
             ones += 1
         else:
-            pair = unmap_block(OnesBlock(ones, p), cons)
-            out.extend((pair.a, pair.b))
+            out.extend(_block_to_pair(ones, p, rs, s, t))
             ones = 0
     if ones:
         out.append(ones)

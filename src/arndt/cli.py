@@ -43,14 +43,13 @@ def _resolve_constraint(args, allow_affine: bool) -> ScaledConstraint:
         )
     if args.s < 1 or args.t < 1:
         raise CliUsageError(f"s and t must be positive, got ({args.s}, {args.t})")
-    if gcd(args.s, args.t) > 1:
-        cons = normalize(args.s, args.t, k)  # raises for k != 0
+    cons = normalize(args.s, args.t, k)  # raises for a non-coprime pair with k != 0
+    if (cons.s, cons.t) != (args.s, args.t):
         print(
             f"notice: ({args.s},{args.t}) normalized to ({cons.s},{cons.t})",
             file=sys.stderr,
         )
-        return cons
-    return ScaledConstraint(args.s, args.t, k)
+    return cons
 
 
 def _parse_composition(text: str) -> Composition:
@@ -249,6 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Counts are exact at any length; print them past CPython's 4300-digit cap.
+    if hasattr(sys, "set_int_max_str_digits"):  # cap and setter came in 3.10.7
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -62,7 +62,7 @@ class Composition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
-        if not all(isinstance(p, int) and p >= 1 for p in self.parts):
+        if not all(type(p) is int and p >= 1 for p in self.parts):
             raise ValueError(f"parts must be positive integers: {self.parts!r}")
 
     @property

@@ -67,24 +67,31 @@ def all_compositions(n: int) -> Iterator[Composition]:
         yield Composition(tuple(parts))
 
 
+def _matching(n: int, constraint: ScaledConstraint | ResidueSystem) -> Iterator[list]:
+    # The raw walk's lists (mutated in place) that pass the constraint's filter.
+    if isinstance(constraint, ScaledConstraint):
+        s, t, k = constraint.s, constraint.t, constraint.k
+        return (p for p in _raw_compositions(n) if _satisfies_parts(p, s, t, k))
+    if isinstance(constraint, ResidueSystem):
+        mod, res = constraint.modulus, constraint.residues
+        return (p for p in _raw_compositions(n) if all(x % mod in res for x in p))
+    raise TypeError(
+        f"expected ScaledConstraint or ResidueSystem, got {type(constraint).__name__}"
+    )
+
+
 def arndt_compositions(n: int, cons: ScaledConstraint) -> Iterator[Composition]:
     """The compositions of n meeting s*a > t*b + k, lexicographically.
 
     With k != 0 this is the exploratory affine filter; there is no
     closed-form counterpart to check it against, only this stream.
     """
-    s, t, k = cons.s, cons.t, cons.k
-    for parts in _raw_compositions(n):
-        if _satisfies_parts(parts, s, t, k):
-            yield Composition(tuple(parts))
+    return (Composition(tuple(parts)) for parts in _matching(n, cons))
 
 
 def congruence_compositions(n: int, rs: ResidueSystem) -> Iterator[Composition]:
     """The compositions of n with every part inside ``rs``, lexicographically."""
-    modulus, residues = rs.modulus, rs.residues
-    for parts in _raw_compositions(n):
-        if all(p % modulus in residues for p in parts):
-            yield Composition(tuple(parts))
+    return (Composition(tuple(parts)) for parts in _matching(n, rs))
 
 
 def count_brute(n: int, constraint: ScaledConstraint | ResidueSystem) -> int:
@@ -102,19 +109,4 @@ def count_brute(n: int, constraint: ScaledConstraint | ResidueSystem) -> int:
             f"brute-force count of 2**{n - 1} compositions refused; "
             f"ceiling is n = {BRUTE_FORCE_CEILING}"
         )
-    count = 0
-    if isinstance(constraint, ScaledConstraint):
-        s, t, k = constraint.s, constraint.t, constraint.k
-        for parts in _raw_compositions(n):
-            if _satisfies_parts(parts, s, t, k):
-                count += 1
-    elif isinstance(constraint, ResidueSystem):
-        modulus, residues = constraint.modulus, constraint.residues
-        for parts in _raw_compositions(n):
-            if all(p % modulus in residues for p in parts):
-                count += 1
-    else:
-        raise TypeError(
-            f"expected ScaledConstraint or ResidueSystem, got {type(constraint).__name__}"
-        )
-    return count
+    return sum(1 for _ in _matching(n, constraint))

@@ -9,8 +9,8 @@ whose denominator yields the recurrence
 
     a(n) = a(n - m_0) + ... + a(n - m_{s-1}) + a(n - s - t)
 
-valid for n > s+t, with the first s+t+1 values read off the series
-itself (a(0) = 1 for the empty composition).  Note the m_0 = 1 term
+valid for n > s+t; running it from a(0) = 1 is expanding the series,
+so both routes are the one loop in ``_terms``.  Note the m_0 = 1 term
 belongs in the sum: dropping it breaks even the Fibonacci case (1, 1).
 
 Everything is integer-exact; counts never overflow.
@@ -18,8 +18,10 @@ Everything is integer-exact; counts never overflow.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Literal
+from itertools import count, islice
+from typing import Iterator, Literal
 
 from .core import ScaledConstraint, residue_system
 from .enumeration import count_brute
@@ -90,55 +92,58 @@ def build_gf(cons: ScaledConstraint) -> RationalGF:
     return RationalGF(cons, tuple(num), tuple(den))
 
 
+def _terms(gf: RationalGF) -> Iterator[int]:
+    """Coefficients 0, 1, 2, ... of numerator/denominator, without end, by
+    long division: with den[0] = 1, c_n = num_n - sum_{j>=1} den_j * c_{n-j}.
+    """
+    num, den = gf.numerator, gf.denominator
+    m = len(den) - 1
+    # build_gf's taps are all +1; adding is about twice as fast as multiplying.
+    taps = [(-j, -den[j]) for j in range(1, m + 1) if den[j]]
+    window = deque([0] * m, maxlen=m)  # window[-j] is c_{n-j}
+    for n in count():
+        c = num[n] if n < len(num) else 0
+        for j, d in taps:
+            c += window[j] if d == 1 else d * window[j]
+        yield c
+        window.append(c)
+
+
 def expand(gf: RationalGF, n_max: int) -> SeriesExpansion:
     """Coefficients 0..n_max of numerator/denominator, exactly.
-
-    Long division of formal power series: with den[0] = 1,
-    c_n = num_n - sum_{j>=1} den_j * c_{n-j}.
 
     >>> expand(build_gf(ScaledConstraint(2, 3)), 9).coefficients
     (1, 1, 1, 2, 3, 4, 7, 11, 17, 27)
     """
     if n_max < 0:
         raise ValueError(f"series length must be >= 0, got {n_max}")
-    num, den = gf.numerator, gf.denominator
-    coeffs: list[int] = []
-    for n in range(n_max + 1):
-        c = num[n] if n < len(num) else 0
-        for j in range(1, min(n, len(den) - 1) + 1):
-            c -= den[j] * coeffs[n - j]
-        coeffs.append(c)
-    return SeriesExpansion(gf.constraint, tuple(coeffs))
+    return SeriesExpansion(gf.constraint, tuple(islice(_terms(gf), n_max + 1)))
+
+
+def _require_recurrence(cons: ScaledConstraint) -> None:
+    if cons.k != 0:
+        raise ValueError("no recurrence is known for offsets k != 0")
 
 
 def count_recurrence(
     cons: ScaledConstraint, n: int, cache: dict[int, int] | None = None
 ) -> int:
-    """a(n) via the linear recurrence, seeded from the series.
+    """a(n) via the linear recurrence.
 
-    ``cache`` maps index -> count and is owned by the caller; pass the
-    same dict across calls (with the same constraint) to amortize work.
+    ``cache`` maps index -> count and is owned by the caller; a hit is
+    answered from it, and a miss records every term a(0)..a(n) there.
     No internal locking: do not share one cache between threads.
 
     >>> count_recurrence(ScaledConstraint(2, 3), 7)
     11
     """
-    if cons.k != 0:
-        raise ValueError("no recurrence is known for offsets k != 0")
+    _require_recurrence(cons)
     if n < 0:
         raise ValueError(f"sequence index must be >= 0, got {n}")
     if cache is None:
         cache = {}
-    if n in cache:
-        return cache[n]
-    rs = residue_system(cons)
-    m = rs.modulus
-    if any(i not in cache for i in range(min(n, m) + 1)):
-        for i, v in enumerate(expand(build_gf(cons), m).coefficients):
-            cache.setdefault(i, v)
-    for i in range(m + 1, n + 1):
-        if i not in cache:
-            cache[i] = sum(cache[i - res] for res in rs.residues) + cache[i - m]
+    if n not in cache:
+        cache.update(zip(range(n + 1), _terms(build_gf(cons))))
     return cache[n]
 
 
@@ -150,21 +155,19 @@ def sequence_range(
 ) -> list[int]:
     """a(n) for n in [n_lo, n_hi] by the chosen method.
 
-    All three methods agree wherever they all apply; ``brute`` is bounded
-    by the enumeration ceiling.
+    ``recurrence`` and ``series`` are the same computation and agree by
+    construction; ``brute`` enumerates and is bounded by the enumeration
+    ceiling.
     """
     if n_lo < 0 or n_lo > n_hi:
         raise ValueError(f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
-    indices = range(n_lo, n_hi + 1)
-    if method == "recurrence":
-        cache: dict[int, int] = {}
-        return [count_recurrence(cons, n, cache) for n in indices]
-    if method == "series":
-        series = expand(build_gf(cons), n_hi)
-        return [series[n] for n in indices]
     if method == "brute":
-        return [count_brute(n, cons) for n in indices]
-    raise ValueError(f"unknown method {method!r}")
+        return [count_brute(n, cons) for n in range(n_lo, n_hi + 1)]
+    if method == "recurrence":
+        _require_recurrence(cons)
+    elif method != "series":
+        raise ValueError(f"unknown method {method!r}")
+    return list(islice(_terms(build_gf(cons)), n_lo, n_hi + 1))
 
 
 def export_bfile(

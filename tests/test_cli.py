@@ -1,10 +1,13 @@
 """End-to-end CLI behavior: outputs, formats, exit codes, diagnostics."""
 
 import json
+import sys
 
 import pytest
 
 from arndt.cli import main
+
+from _reference import fib
 
 ARNDT_LINES = "2,1,2,1\n2,1,3\n3,1,2\n4,1,1\n4,2\n5,1\n6\n"
 CONGRUENCE_LINES = "1,1,1,1,1,1\n1,1,1,3\n1,1,3,1\n1,3,1,1\n3,1,1,1\n3,3\n6\n"
@@ -82,6 +85,16 @@ class TestCount:
         code, _, err = run(capsys, "count", "-s", "0", "-t", "3", "-n", "6")
         assert code == 2
         assert "positive" in err
+
+    def test_far_term_prints_in_full(self, capsys):
+        # a(25000) of (1, 1) has 5225 digits, past CPython's default
+        # 4300-digit int-to-str limit.
+        limit = sys.get_int_max_str_digits()
+        try:
+            code, out, _ = run(capsys, "count", "-s", "1", "-t", "1", "-n", "25000")
+            assert (code, out) == (0, f"{fib(25000)}\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_missing_n_is_a_usage_error(self, capsys):
         code, _, _ = run(capsys, "count", "-s", "2", "-t", "3")

@@ -64,6 +64,10 @@ class TestComposition:
             Composition((3, 0))
         with pytest.raises(ValueError):
             Composition((-1,))
+        with pytest.raises(ValueError):
+            Composition((True,))
+        with pytest.raises(ValueError):
+            Composition((2, False))
 
     def test_string_round_trip(self):
         assert str(Composition.from_string("4,1,1")) == "4,1,1"

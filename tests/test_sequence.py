@@ -16,7 +16,7 @@ from arndt.sequence import (
     sequence_range,
 )
 
-from _reference import coprime_pairs, fib
+from _reference import coprime_pairs, fib, residue_list
 
 # Series coefficients 0..9 for the four pairs with s + t = 5.
 SERIES_SUM_FIVE = {
@@ -164,6 +164,17 @@ class TestSequenceRange:
             values = sequence_range(ScaledConstraint(s, t), 1, 30)
             for n, v in enumerate(values, start=1):
                 assert 1 <= v <= 2 ** (n - 1)
+
+    def test_far_terms_against_reference(self):
+        # Recurrence and series share one engine, so check far terms against
+        # the recurrence with residues recomputed by the reference.
+        for s, t in coprime_pairs(8):
+            m, residues = s + t, residue_list(s, t)
+            a = sequence_range(ScaledConstraint(s, t), 0, 2000)
+            for n in range(m + 1, 2001):
+                assert a[n] == sum(a[n - r] for r in residues) + a[n - m]
+        fibs = sequence_range(ScaledConstraint(1, 1), 1, 2000)
+        assert fibs == [fib(n) for n in range(1, 2001)]
 
 
 class TestExportBfile:
