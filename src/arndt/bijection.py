@@ -1,37 +1,34 @@
 """The sum-preserving bijection between scaled Arndt compositions and
 congruence-restricted compositions.
 
-Forward direction: each part pair (a, b) with b = q*s + r (Euclidean
-division, 0 <= r < s) becomes a run of ones followed by one anchor part
+Both directions read the constraint's residue system m_0 < ... < m_{s-1}
+(mod s+t) and nothing else.  Forward: each part pair (a, b) with
+b = q*s + r (Euclidean division, 0 <= r < s) becomes a run of ones
+followed by one anchor part
 
-    (a, b)  ->  (1^(a - q*t - L), q*(s+t) + r + L)   with L = ceil((r*t+1)/s),
+    (a, b)  ->  (1^(a + b - anchor), anchor)   with anchor = q*(s+t) + m_r,
 
-and a trailing unpaired part m becomes a run of m ones.  The strict
-inequality s*a > t*b makes the run length nonnegative, and the anchor
-lands in the residue system of the constraint.
+and a trailing unpaired part m becomes a run of m ones.  Since
+m_r = r + floor(r*t/s) + 1, the run length a + b - anchor is nonnegative
+exactly when s*a > t*b, and the anchor lies in the residue system.
 
-Backward direction: scan the congruence-restricted composition left to
-right, grouping each maximal run of ones with the next part >= 2 into a
-block (1^c, d); a trailing run of ones with no anchor maps to the single
-part c.  Parts equal to 1 are never anchors, even though 1 itself is an
-admissible residue; anchors with residue 1 are exactly the parts
+Backward: scan the congruence-restricted composition left to right,
+grouping each maximal run of ones with the next part >= 2 into a block
+(1^c, d); the anchor splits as d = q*(s+t) + m_r, which gives b = q*s + r
+and a = c + d - b.  A trailing run of ones with no anchor maps to the
+single part c.  Parts equal to 1 are never anchors, even though 1 itself
+is an admissible residue; anchors with residue 1 are exactly the parts
 1 + q*(s+t) with q >= 1.
 
-Both directions validate their input and are defined only for k = 0.
+Both directions validate their input and are defined only for k = 0,
+which ``residue_system`` enforces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    Composition,
-    ResidueSystem,
-    ScaledConstraint,
-    ceil_div,
-    residue_system,
-    satisfies,
-)
+from .core import Composition, ResidueSystem, ScaledConstraint, residue_system
 
 __all__ = ["ArndtPair", "OnesBlock", "map_pair", "unmap_block", "forward", "backward"]
 
@@ -71,23 +68,18 @@ class OnesBlock:
             raise ValueError(f"anchors are parts >= 2, got {self.anchor}")
 
 
-def _require_unscaled(cons: ScaledConstraint) -> None:
-    if cons.k != 0:
-        raise ValueError(f"the bijection is defined only for k = 0, got k = {cons.k}")
+def _pair_to_block(a: int, b: int, rs: ResidueSystem) -> tuple[int, int]:
+    # (ones, anchor); ones < 0 exactly when s*a <= t*b.
+    q, r = divmod(b, len(rs.residues))
+    anchor = q * rs.modulus + rs.residues[r]
+    return a + b - anchor, anchor
 
 
-def _pair_to_block(a: int, b: int, s: int, t: int) -> tuple[int, int]:
-    # For a complete pair known to satisfy s*a > t*b, so that ones >= 0.
-    q, r = divmod(b, s)
-    lift = ceil_div(r * t + 1, s)
-    return a - q * t - lift, q * (s + t) + r + lift
-
-
-def _block_to_pair(ones: int, anchor: int, rs: ResidueSystem, s: int, t: int):
+def _block_to_pair(ones: int, anchor: int, rs: ResidueSystem) -> tuple[int, int]:
     # decompose rejects anchors outside the residue system.
     q, r = rs.decompose(anchor)
-    lift = ceil_div(r * t + 1, s)
-    return ones + q * t + lift, q * s + r
+    b = q * len(rs.residues) + r
+    return ones + anchor - b, b
 
 
 def map_pair(p: ArndtPair, cons: ScaledConstraint) -> OnesBlock:
@@ -96,13 +88,13 @@ def map_pair(p: ArndtPair, cons: ScaledConstraint) -> OnesBlock:
     >>> map_pair(ArndtPair(5, 1), ScaledConstraint(2, 3))
     OnesBlock(ones=3, anchor=3)
     """
-    _require_unscaled(cons)
+    rs = residue_system(cons)
     if p.b < 1:
         raise ValueError("map_pair needs a complete pair (b >= 1)")
-    s, t = cons.s, cons.t
-    if s * p.a <= t * p.b:
-        raise ValueError(f"pair ({p.a}, {p.b}) violates {s}*a > {t}*b")
-    return OnesBlock(*_pair_to_block(p.a, p.b, s, t))
+    ones, anchor = _pair_to_block(p.a, p.b, rs)
+    if ones < 0:
+        raise ValueError(f"pair ({p.a}, {p.b}) violates {cons.s}*a > {cons.t}*b")
+    return OnesBlock(ones, anchor)
 
 
 def unmap_block(blk: OnesBlock, cons: ScaledConstraint) -> ArndtPair | int:
@@ -114,11 +106,10 @@ def unmap_block(blk: OnesBlock, cons: ScaledConstraint) -> ArndtPair | int:
     >>> unmap_block(OnesBlock(6, None), ScaledConstraint(2, 3))
     6
     """
-    _require_unscaled(cons)
+    rs = residue_system(cons)
     if blk.anchor is None:
         return blk.ones
-    rs = residue_system(cons)
-    return ArndtPair(*_block_to_pair(blk.ones, blk.anchor, rs, cons.s, cons.t))
+    return ArndtPair(*_block_to_pair(blk.ones, blk.anchor, rs))
 
 
 def forward(c: Composition, cons: ScaledConstraint) -> Composition:
@@ -129,17 +120,16 @@ def forward(c: Composition, cons: ScaledConstraint) -> Composition:
     >>> str(forward(Composition((4, 1, 1)), ScaledConstraint(2, 3)))
     '1,1,3,1'
     """
-    _require_unscaled(cons)
-    if not satisfies(c, cons):
-        raise ValueError(
-            f"({','.join(map(str, c.parts))}) violates "
-            f"{cons.s}*a > {cons.t}*b on some pair"
-        )
-    s, t = cons.s, cons.t
+    rs = residue_system(cons)
     parts = c.parts
     out: list[int] = []
     for i in range(0, len(parts) - 1, 2):
-        ones, anchor = _pair_to_block(parts[i], parts[i + 1], s, t)
+        ones, anchor = _pair_to_block(parts[i], parts[i + 1], rs)
+        if ones < 0:
+            raise ValueError(
+                f"({','.join(map(str, parts))}) violates "
+                f"{cons.s}*a > {cons.t}*b on some pair"
+            )
         out.extend([1] * ones)
         out.append(anchor)
     if len(parts) % 2:
@@ -154,15 +144,14 @@ def backward(c: Composition, cons: ScaledConstraint) -> Composition:
     >>> str(backward(Composition((3, 3)), ScaledConstraint(2, 3)))
     '2,1,2,1'
     """
-    _require_unscaled(cons)
-    rs, s, t = residue_system(cons), cons.s, cons.t
+    rs = residue_system(cons)
     out: list[int] = []
     ones = 0
     for p in c.parts:
         if p == 1:
             ones += 1
         else:
-            out.extend(_block_to_pair(ones, p, rs, s, t))
+            out.extend(_block_to_pair(ones, p, rs))
             ones = 0
     if ones:
         out.append(ones)

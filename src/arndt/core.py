@@ -216,13 +216,18 @@ def residue_system(cons: ScaledConstraint) -> ResidueSystem:
 
     The r-th allowed residue is r + ceil((r*t + 1) / s) for r = 0..s-1;
     the r = 0 class is always 1, so parts equal to 1 are always admitted.
-    Defined only for the pure scaled condition (k = 0).
+    Defined only for the pure scaled condition (k = 0); the bijection and
+    the generating function are built from this system, so this is the one
+    place that refuses k != 0.
 
     >>> residue_system(ScaledConstraint(2, 3))
     ResidueSystem(modulus=5, residues=(1, 3))
     """
     if cons.k != 0:
-        raise ValueError("residue systems exist only for offset k = 0")
+        raise ValueError(
+            f"defined only for offset k = 0: no residue system, bijection or "
+            f"generating function is known for k != 0 (got k = {cons.k})"
+        )
     s, t = cons.s, cons.t
     residues = tuple(r + ceil_div(r * t + 1, s) for r in range(s))
     return ResidueSystem(s + t, residues)

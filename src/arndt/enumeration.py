@@ -3,7 +3,8 @@
 The generators here are the independent ground truth for everything the
 recurrence and bijection machinery claims: they walk all 2**(n-1)
 compositions of n in lexicographic part order, filter by direct predicate
-evaluation, and never materialize the full set.
+evaluation, and never materialize the full set.  Every filtered walk refuses
+n beyond ``BRUTE_FORCE_CEILING`` when it is called.
 
 Streams are single-consumer iterators; counting functions are pure.
 """
@@ -23,9 +24,9 @@ __all__ = [
     "count_brute",
 ]
 
-# Largest n count_brute will walk: 2**25 compositions, roughly half a
-# minute of CPU.  Enumeration above this is refused rather than left to
-# run unbounded.
+# Largest n any filtered walk (count_brute and both streams) will take:
+# 2**25 compositions, roughly half a minute of CPU.  Enumeration above this
+# is refused rather than left to run unbounded.
 BRUTE_FORCE_CEILING = 26
 
 
@@ -69,6 +70,11 @@ def all_compositions(n: int) -> Iterator[Composition]:
 
 def _matching(n: int, constraint: ScaledConstraint | ResidueSystem) -> Iterator[list]:
     # The raw walk's lists (mutated in place) that pass the constraint's filter.
+    if n > BRUTE_FORCE_CEILING:
+        raise BruteForceCeilingError(
+            f"brute-force walk of 2**{n - 1} compositions refused; "
+            f"ceiling is n = {BRUTE_FORCE_CEILING}"
+        )
     if isinstance(constraint, ScaledConstraint):
         s, t, k = constraint.s, constraint.t, constraint.k
         return (p for p in _raw_compositions(n) if _satisfies_parts(p, s, t, k))
@@ -104,9 +110,4 @@ def count_brute(n: int, constraint: ScaledConstraint | ResidueSystem) -> int:
     >>> count_brute(6, ScaledConstraint(2, 3))
     7
     """
-    if n > BRUTE_FORCE_CEILING:
-        raise BruteForceCeilingError(
-            f"brute-force count of 2**{n - 1} compositions refused; "
-            f"ceiling is n = {BRUTE_FORCE_CEILING}"
-        )
     return sum(1 for _ in _matching(n, constraint))

@@ -79,9 +79,7 @@ def build_gf(cons: ScaledConstraint) -> RationalGF:
     >>> gf.numerator, gf.denominator
     ((1, 0, 0, 0, 0, -1), (1, -1, 0, -1, 0, -1))
     """
-    if cons.k != 0:
-        raise ValueError("no generating function is known for offsets k != 0")
-    rs = residue_system(cons)
+    rs = residue_system(cons)  # refuses k != 0
     m = rs.modulus
     num = [0] * (m + 1)
     num[0], num[m] = 1, -1
@@ -92,16 +90,18 @@ def build_gf(cons: ScaledConstraint) -> RationalGF:
     return RationalGF(cons, tuple(num), tuple(den))
 
 
-def _terms(gf: RationalGF) -> Iterator[int]:
-    """Coefficients 0, 1, 2, ... of numerator/denominator, without end, by
-    long division: with den[0] = 1, c_n = num_n - sum_{j>=1} den_j * c_{n-j}.
+def _terms(gf: RationalGF, start: int = 0, seed: list | None = None) -> Iterator[int]:
+    """Coefficients start, start+1, ... of numerator/denominator, without end,
+    by long division: with den[0] = 1, c_n = num_n - sum_{j>=1} den_j * c_{n-j}.
+    ``seed`` is c_{start-m}..c_{start-1} for m = deg(den), needed if start > 0.
     """
     num, den = gf.numerator, gf.denominator
     m = len(den) - 1
     # build_gf's taps are all +1; adding is about twice as fast as multiplying.
     taps = [(-j, -den[j]) for j in range(1, m + 1) if den[j]]
-    window = deque([0] * m, maxlen=m)  # window[-j] is c_{n-j}
-    for n in count():
+    # window[-j] is c_{n-j}
+    window = deque([0] * m if seed is None else seed, maxlen=m)
+    for n in count(start):
         c = num[n] if n < len(num) else 0
         for j, d in taps:
             c += window[j] if d == 1 else d * window[j]
@@ -120,30 +120,34 @@ def expand(gf: RationalGF, n_max: int) -> SeriesExpansion:
     return SeriesExpansion(gf.constraint, tuple(islice(_terms(gf), n_max + 1)))
 
 
-def _require_recurrence(cons: ScaledConstraint) -> None:
-    if cons.k != 0:
-        raise ValueError("no recurrence is known for offsets k != 0")
-
-
 def count_recurrence(
     cons: ScaledConstraint, n: int, cache: dict[int, int] | None = None
 ) -> int:
     """a(n) via the linear recurrence.
 
     ``cache`` maps index -> count and is owned by the caller; a hit is
-    answered from it, and a miss records every term a(0)..a(n) there.
-    No internal locking: do not share one cache between threads.
+    answered from it, and a miss records every term up to a(n) there.  A
+    miss resumes at j = len(cache) when m < j and a(j-m)..a(j-1) are cached
+    (m the recurrence order), else it walks from a(0); so ascending calls
+    compute each term once.  No internal locking: do not share one cache
+    between threads.
 
     >>> count_recurrence(ScaledConstraint(2, 3), 7)
     11
     """
-    _require_recurrence(cons)
+    gf = build_gf(cons)
     if n < 0:
         raise ValueError(f"sequence index must be >= 0, got {n}")
     if cache is None:
         cache = {}
     if n not in cache:
-        cache.update(zip(range(n + 1), _terms(build_gf(cons))))
+        j, m = len(cache), len(gf.denominator) - 1
+        window = range(j - m, j)
+        if m < j <= n and all(i in cache for i in window):
+            terms = _terms(gf, j, [cache[i] for i in window])
+        else:
+            j, terms = 0, _terms(gf)
+        cache.update(zip(range(j, n + 1), terms))
     return cache[n]
 
 
@@ -163,9 +167,7 @@ def sequence_range(
         raise ValueError(f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     if method == "brute":
         return [count_brute(n, cons) for n in range(n_lo, n_hi + 1)]
-    if method == "recurrence":
-        _require_recurrence(cons)
-    elif method != "series":
+    if method not in ("recurrence", "series"):
         raise ValueError(f"unknown method {method!r}")
     return list(islice(_terms(build_gf(cons)), n_lo, n_hi + 1))
 

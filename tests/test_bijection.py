@@ -128,6 +128,11 @@ class TestForward:
         with pytest.raises(ValueError, match="violates"):
             forward(Composition((3, 2, 1)), ScaledConstraint(2, 3))
 
+    def test_violation_in_a_later_pair_names_the_composition(self):
+        # (2, 1) is admissible under (2, 3); the second pair (3, 2) is not.
+        with pytest.raises(ValueError, match=r"^\(2,1,3,2\) violates 2\*a > 3\*b"):
+            forward(Composition((2, 1, 3, 2)), ScaledConstraint(2, 3))
+
     def test_rejects_affine(self):
         with pytest.raises(ValueError, match="k = 0"):
             forward(Composition((3, 1)), ScaledConstraint(1, 1, k=1))

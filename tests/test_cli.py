@@ -102,6 +102,13 @@ class TestCount:
 
 
 class TestEnumerate:
+    @pytest.mark.parametrize("side", [[], ["--congruence"]], ids=["arndt", "cong"])
+    def test_refuses_beyond_ceiling(self, capsys, side):
+        argv = ["enumerate", "-s", "1", "-t", "1", "-n", "27", *side]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "ceiling" in err
+
     def test_lines(self, capsys):
         code, out, _ = run(capsys, "enumerate", "-s", "2", "-t", "3", "-n", "6")
         assert (code, out) == (0, ARNDT_LINES)

@@ -4,6 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arndt.bijection import (
+    ArndtPair,
+    OnesBlock,
+    backward,
+    forward,
+    map_pair,
+    unmap_block,
+)
 from arndt.core import (
     Composition,
     ResidueSystem,
@@ -13,6 +21,7 @@ from arndt.core import (
     residue_system,
     satisfies,
 )
+from arndt.sequence import build_gf, count_recurrence, export_bfile, sequence_range
 
 from _reference import coprime_pairs, residue_list
 
@@ -228,3 +237,31 @@ class TestMembershipAndDecomposition:
         part = q * rs.modulus + rs.residues[r]
         assert rs.contains(part)
         assert rs.decompose(part) == (q, r)
+
+
+AFFINE = ScaledConstraint(2, 3, k=1)
+
+# Every entry point defined only for k = 0, called with the affine constraint.
+K_ZERO_ONLY = {
+    "residue_system": lambda: residue_system(AFFINE),
+    "build_gf": lambda: build_gf(AFFINE),
+    "count_recurrence_cache_hit": lambda: count_recurrence(AFFINE, 3, {3: 2}),
+    "sequence_range_recurrence": lambda: sequence_range(AFFINE, 1, 5, "recurrence"),
+    "sequence_range_series": lambda: sequence_range(AFFINE, 1, 5, "series"),
+    "export_bfile": lambda: export_bfile(AFFINE, 1, 5),
+    "map_pair": lambda: map_pair(ArndtPair(5, 1), AFFINE),
+    "unmap_block_anchorless": lambda: unmap_block(OnesBlock(2, None), AFFINE),
+    "forward": lambda: forward(Composition((5, 1)), AFFINE),
+    "backward": lambda: backward(Composition((1, 1)), AFFINE),
+}
+
+
+@pytest.mark.parametrize("call", K_ZERO_ONLY.values(), ids=K_ZERO_ONLY.keys())
+def test_one_offset_guard(call):
+    # residue_system is the only place that refuses k != 0, so every
+    # k = 0-only entry point fails with its message, word for word.
+    with pytest.raises(ValueError) as expected:
+        residue_system(AFFINE)
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == str(expected.value)

@@ -158,6 +158,14 @@ class TestCountBrute:
         with pytest.raises(BruteForceCeilingError, match="ceiling"):
             count_brute(BRUTE_FORCE_CEILING + 1, ScaledConstraint(1, 1))
 
+    def test_streams_refuse_beyond_ceiling_when_called(self):
+        # The refusal comes at call time, before the stream is drawn from.
+        cons = ScaledConstraint(1, 1)
+        with pytest.raises(BruteForceCeilingError, match="ceiling"):
+            arndt_compositions(BRUTE_FORCE_CEILING + 1, cons)
+        with pytest.raises(BruteForceCeilingError, match="ceiling"):
+            congruence_compositions(BRUTE_FORCE_CEILING + 1, residue_system(cons))
+
     def test_rejects_other_constraint_types(self):
         with pytest.raises(TypeError):
             count_brute(5, (2, 3))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arndt.sequence
 from arndt.core import ScaledConstraint
 from arndt.enumeration import count_brute
 from arndt.sequence import (
@@ -123,6 +124,35 @@ class TestCountRecurrence:
         shared2: dict[int, int] = {}
         descending = [count_recurrence(cons, n, shared2) for n in range(30, -1, -1)]
         assert fresh == ascending == descending[::-1]
+
+    def test_ascending_calls_resume_from_the_cache(self, monkeypatch):
+        # Past the recurrence order each miss continues from the cached
+        # window, so 0..500 draws about 501 terms, not the ~125k of
+        # restarting at a(0) on every miss.
+        cons = ScaledConstraint(2, 3)
+        walked = expand(build_gf(cons), 500).coefficients
+        terms, drawn = arndt.sequence._terms, 0
+
+        def counted(*args):
+            nonlocal drawn
+            for c in terms(*args):
+                drawn += 1
+                yield c
+
+        monkeypatch.setattr(arndt.sequence, "_terms", counted)
+        cache: dict[int, int] = {}
+        assert tuple(count_recurrence(cons, n, cache) for n in range(501)) == walked
+        assert drawn <= 2 * 501
+
+    def test_resumes_only_from_a_whole_window(self):
+        # The cache holds twelve terms, but a(9), one of the five below
+        # index 12, is missing, so the miss at 30 walks from a(0).
+        cons = ScaledConstraint(2, 3)
+        walked = expand(build_gf(cons), 40).coefficients
+        cache = {i: walked[i] for i in range(12) if i != 9}
+        cache[40] = walked[40]
+        assert count_recurrence(cons, 30, cache) == walked[30]
+        assert all(cache[i] == walked[i] for i in cache)
 
     @settings(max_examples=60)
     @given(st.sampled_from(coprime_pairs(8)), st.integers(0, 60))
