@@ -32,6 +32,8 @@ from .core import Composition, ResidueSystem, ScaledConstraint, residue_system
 
 __all__ = ["ArndtPair", "OnesBlock", "map_pair", "unmap_block", "forward", "backward"]
 
+MAX_IMAGE_PARTS = 10**7  # forward's limit: a pair (a, b) becomes up to a + b parts
+
 
 @dataclass(frozen=True)
 class ArndtPair:
@@ -115,7 +117,8 @@ def unmap_block(blk: OnesBlock, cons: ScaledConstraint) -> ArndtPair | int:
 def forward(c: Composition, cons: ScaledConstraint) -> Composition:
     """Map a scaled Arndt composition to its congruence-restricted partner.
 
-    Sum-preserving; rejects compositions violating the constraint.
+    Sum-preserving; rejects compositions violating the constraint, and
+    those whose image would have more than ``MAX_IMAGE_PARTS`` parts.
 
     >>> str(forward(Composition((4, 1, 1)), ScaledConstraint(2, 3)))
     '1,1,3,1'
@@ -130,10 +133,14 @@ def forward(c: Composition, cons: ScaledConstraint) -> Composition:
                 f"({','.join(map(str, parts))}) violates "
                 f"{cons.s}*a > {cons.t}*b on some pair"
             )
+        if len(out) + ones >= MAX_IMAGE_PARTS:
+            raise ValueError(f"image exceeds MAX_IMAGE_PARTS = {MAX_IMAGE_PARTS} parts")
         out.extend([1] * ones)
         out.append(anchor)
-    if len(parts) % 2:
-        out.extend([1] * parts[-1])
+    tail = parts[-1] if len(parts) % 2 else 0
+    if len(out) + tail > MAX_IMAGE_PARTS:
+        raise ValueError(f"image exceeds MAX_IMAGE_PARTS = {MAX_IMAGE_PARTS} parts")
+    out.extend([1] * tail)
     return Composition(tuple(out))
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arndt import bijection
 from arndt.bijection import (
     ArndtPair,
     OnesBlock,
@@ -136,6 +137,24 @@ class TestForward:
     def test_rejects_affine(self):
         with pytest.raises(ValueError, match="k = 0"):
             forward(Composition((3, 1)), ScaledConstraint(1, 1, k=1))
+
+    def test_refuses_images_past_the_limit(self, monkeypatch):
+        # Under (1, 1) a pair (a, b) becomes a - b parts and a trailing m
+        # becomes m parts.
+        monkeypatch.setattr(bijection, "MAX_IMAGE_PARTS", 4)
+        cons = ScaledConstraint(1, 1)
+        for fits in [(5, 1), (4,), (3, 1, 2)]:
+            assert len(forward(Composition(fits), cons)) == 4
+        for over in [(6, 1), (5,), (3, 1, 3)]:
+            with pytest.raises(ValueError, match="MAX_IMAGE_PARTS = 4 "):
+                forward(Composition(over), cons)
+
+    @pytest.mark.parametrize("big", [99999999999999999999, 10**18])
+    @pytest.mark.parametrize("shape", ["pair", "trailing"])
+    def test_refuses_a_huge_image_before_allocating(self, big, shape):
+        parts = (big, 1) if shape == "pair" else (big,)
+        with pytest.raises(ValueError, match="MAX_IMAGE_PARTS"):
+            forward(Composition(parts), ScaledConstraint(1, 1))
 
 
 class TestBackward:

@@ -1,7 +1,10 @@
 """End-to-end CLI behavior: outputs, formats, exit codes, diagnostics."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,10 +91,11 @@ class TestCount:
 
     def test_far_term_prints_in_full(self, capsys):
         # a(25000) of (1, 1) has 5225 digits, past CPython's default
-        # 4300-digit int-to-str limit.
+        # 4300-digit int-to-str limit, which main lifts for its own run only.
         limit = sys.get_int_max_str_digits()
         try:
             code, out, _ = run(capsys, "count", "-s", "1", "-t", "1", "-n", "25000")
+            sys.set_int_max_str_digits(0)
             assert (code, out) == (0, f"{fib(25000)}\n")
         finally:
             sys.set_int_max_str_digits(limit)
@@ -183,6 +187,12 @@ class TestMapUnmap:
         code, _, _ = run(capsys, "map", "-s", "2", "-t", "3", "-k", "1", "-c", "6")
         assert code == 2
 
+    @pytest.mark.parametrize("parts", [f"{10**18},1", "99999999999999999999,1"])
+    def test_map_refuses_an_image_past_the_limit(self, capsys, parts):
+        code, out, err = run(capsys, "map", "-s", "1", "-t", "1", "-c", parts)
+        assert (code, out) == (1, "")
+        assert "MAX_IMAGE_PARTS" in err
+
 
 class TestResidues:
     @pytest.mark.parametrize(
@@ -272,3 +282,61 @@ def test_stdout_ends_with_exactly_one_newline(capsys, argv):
     assert code == 0
     assert out.endswith("\n")
     assert not out.endswith("\n\n")
+
+
+# Each subcommand with the options given takes only k = 0; the last one is a
+# non-coprime pair, refused by the k rule before normalize sees it.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("unmap", "-s", "2", "-t", "3", "-k", "1", "-c", "3,3"),
+        ("bfile", "-s", "2", "-t", "3", "-k", "1", "--range", "1..3"),
+        ("count", "-s", "2", "-t", "3", "-k", "1", "-n", "6", "--method", "series"),
+        ("map", "-s", "2", "-t", "3", "-k", "1", "-c", "6"),
+        ("residues", "-s", "2", "-t", "3", "-k", "1"),
+        ("enumerate", "-s", "2", "-t", "3", "-k", "1", "-n", "6", "--congruence"),
+        ("count", "-s", "2", "-t", "3", "-k", "1", "-n", "6", "--method", "recurrence"),
+        ("count", "-s", "4", "-t", "6", "-k", "1", "-n", "6", "--method", "recurrence"),
+    ],
+)
+def test_k_rule_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "k = 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "-s", "2", "-t", "3", "-n", "5"),
+        ("count", "-s", "2", "-t", "3", "-k", "1", "-n", "5", "--method", "series"),
+        ("unmap", "-s", "2", "-t", "3", "-c", "2,4"),
+    ],
+    ids=["ok", "usage", "domain"],
+)
+def test_main_restores_the_int_str_digit_limit(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv,code,out",
+    [
+        (("count", "-s", "2", "-t", "3", "-n", "6"), 0, "7\n"),
+        (("map", "-s", "2", "-t", "3", "-k", "1", "-c", "6"), 2, ""),
+        (("unmap", "-s", "2", "-t", "3", "-c", "2,4"), 1, ""),
+    ],
+)
+def test_module_entry_point(argv, code, out):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "arndt.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
