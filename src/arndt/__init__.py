@@ -5,61 +5,13 @@ bijection with compositions into congruence-restricted parts, and the
 exact counting sequences both describe.
 """
 
-from .bijection import ArndtPair, OnesBlock, backward, forward, map_pair, unmap_block
-from .core import (
-    Composition,
-    ResidueSystem,
-    ScaledConstraint,
-    ceil_div,
-    normalize,
-    residue_system,
-    satisfies,
-)
-from .enumeration import (
-    BRUTE_FORCE_CEILING,
-    BruteForceCeilingError,
-    all_compositions,
-    arndt_compositions,
-    congruence_compositions,
-    count_brute,
-)
-from .sequence import (
-    RationalGF,
-    SeriesExpansion,
-    build_gf,
-    count_recurrence,
-    expand,
-    export_bfile,
-    sequence_range,
-)
+from . import bijection, core, enumeration, sequence
+from .bijection import *  # noqa: F403
+from .core import *  # noqa: F403
+from .enumeration import *  # noqa: F403
+from .sequence import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArndtPair",
-    "BRUTE_FORCE_CEILING",
-    "BruteForceCeilingError",
-    "Composition",
-    "OnesBlock",
-    "RationalGF",
-    "ResidueSystem",
-    "ScaledConstraint",
-    "SeriesExpansion",
-    "all_compositions",
-    "arndt_compositions",
-    "backward",
-    "build_gf",
-    "ceil_div",
-    "congruence_compositions",
-    "count_brute",
-    "count_recurrence",
-    "expand",
-    "export_bfile",
-    "forward",
-    "map_pair",
-    "normalize",
-    "residue_system",
-    "satisfies",
-    "sequence_range",
-    "unmap_block",
-]
+# The public names are the ones each module lists in its own __all__.
+__all__ = sorted(bijection.__all__ + core.__all__ + enumeration.__all__ + sequence.__all__)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from math import gcd
 
 from .bijection import backward, forward
@@ -61,7 +62,14 @@ def cmd_enumerate(args, cons: ScaledConstraint) -> None:
     else:
         stream = arndt_compositions(args.n, cons)
     if args.format == "json":
-        sys.stdout.write(json.dumps([list(c.parts) for c in stream]) + "\n")
+        # The bytes of json.dumps(list), written as the stream runs: each
+        # chunk's array without its brackets, joined by json's separator.
+        sys.stdout.write("[")
+        sep = ""
+        while chunk := [list(c.parts) for c in islice(stream, 256)]:
+            sys.stdout.write(sep + json.dumps(chunk)[1:-1])
+            sep = ", "
+        sys.stdout.write("]\n")
     else:
         sys.stdout.writelines(f"{c}\n" for c in stream)
 

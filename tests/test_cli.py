@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from arndt.cli import main
 
-from _reference import fib
+from _reference import arndt_ok, bitmask_compositions, congruence_ok, fib, residue_list
 
 ARNDT_LINES = "2,1,2,1\n2,1,3\n3,1,2\n4,1,1\n4,2\n5,1\n6\n"
 CONGRUENCE_LINES = "1,1,1,1,1,1\n1,1,1,3\n1,1,3,1\n1,3,1,1\n3,1,1,1\n3,3\n6\n"
@@ -135,6 +136,45 @@ class TestEnumerate:
         assert json.loads(out) == [
             [2, 1, 2, 1], [2, 1, 3], [3, 1, 2], [4, 1, 1], [4, 2], [5, 1], [6],
         ]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
+    @pytest.mark.parametrize("s,t,k", [(2, 3, 0), (3, 2, 0), (1, 1, -2), (1, 2, 1)])
+    def test_json_bytes_are_those_of_json_dumps(self, capsys, s, t, k, n):
+        # The array is written in chunks as the stream runs (n = 12 spans
+        # several for (3, 2) and (1, 1, -2)); its bytes stay json.dumps's own.
+        argv = ["enumerate", "-s", str(s), "-t", str(t), "-k", str(k), "-n", str(n)]
+        argv += ["--format", "json"]
+        admitted = [list(p) for p in bitmask_compositions(n) if arndt_ok(p, s, t, k)]
+        assert run(capsys, *argv) == (0, json.dumps(sorted(admitted)) + "\n", "")
+        if k == 0:
+            rs = residue_list(s, t)
+            admitted = [
+                list(p) for p in bitmask_compositions(n) if congruence_ok(p, rs, s + t)
+            ]
+            expected = json.dumps(sorted(admitted)) + "\n"
+            assert run(capsys, *argv, "--congruence") == (0, expected, "")
+
+    def test_json_streams_in_bounded_memory(self, monkeypatch):
+        # 2**14 compositions (tracemalloc slows each allocation several times):
+        # held whole, the list and its text peak at about 5 MB; streamed, at
+        # about 0.4 MB whatever the length.
+        argv = ["enumerate", "-s", "1", "-t", "1", "-k", "-100", "-n", "15"]
+        with open(os.devnull, "w") as sink, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main([*argv, "--format", "json"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20
+
+    def test_json_refuses_a_negative_total_before_writing(self, capsys):
+        argv = ["enumerate", "-s", "2", "-t", "3", "-n", "-1", "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "cannot compose a negative total" in err
 
     def test_affine_filter(self, capsys):
         code, out, _ = run(capsys, "enumerate", "-s", "1", "-t", "1", "-k", "1", "-n", "4")

@@ -12,7 +12,14 @@ from arndt.enumeration import (
     count_brute,
 )
 
-from _reference import arndt_ok, bitmask_compositions, congruence_ok, coprime_pairs, fib
+from _reference import (
+    arndt_ok,
+    bitmask_compositions,
+    congruence_ok,
+    coprime_pairs,
+    fib,
+    residue_list,
+)
 
 ARNDT_23_OF_6 = [
     (2, 1, 2, 1),
@@ -64,6 +71,16 @@ class TestAllCompositions:
         with pytest.raises(ValueError):
             list(all_compositions(-1))
 
+    def test_refuses_a_negative_total_when_called(self):
+        # Before anything is drawn, so a caller writing as it draws writes nothing.
+        cons = ScaledConstraint(2, 3)
+        with pytest.raises(ValueError, match="cannot compose a negative total"):
+            all_compositions(-1)
+        with pytest.raises(ValueError, match="cannot compose a negative total"):
+            arndt_compositions(-1, cons)
+        with pytest.raises(ValueError, match="cannot compose a negative total"):
+            congruence_compositions(-2, residue_system(cons))
+
 
 class TestArndtCompositions:
     def test_listed_set_for_two_three(self):
@@ -101,6 +118,26 @@ class TestArndtCompositions:
                 p for p in bitmask_compositions(8) if arndt_ok(p, s, t)
             )
             assert got == expected
+
+
+# Every composition of n, from the oracle, for n = 0..12.
+BITMASK_UP_TO_12 = [tuple(bitmask_compositions(n)) for n in range(13)]
+
+
+@pytest.mark.parametrize("s,t", coprime_pairs(8))
+def test_streams_against_the_bitmask_oracle(s, t):
+    # Both streams, in order, and count_brute, over k = -3..3 and n <= 12.
+    rs = residue_system(ScaledConstraint(s, t))
+    for n, every in enumerate(BITMASK_UP_TO_12):
+        for k in range(-3, 4):
+            got = parts_list(arndt_compositions(n, ScaledConstraint(s, t, k)))
+            assert got == sorted(p for p in every if arndt_ok(p, s, t, k))
+            assert count_brute(n, ScaledConstraint(s, t, k)) == len(got)
+        got = parts_list(congruence_compositions(n, rs))
+        assert got == sorted(
+            p for p in every if congruence_ok(p, residue_list(s, t), s + t)
+        )
+        assert count_brute(n, rs) == len(got)
 
 
 class TestCongruenceCompositions:
