@@ -22,7 +22,9 @@ from math import gcd
 from .bijection import backward, forward
 from .core import Composition, ScaledConstraint, normalize, residue_system
 from .enumeration import arndt_compositions, congruence_compositions
-from .sequence import export_bfile, sequence_range
+# export_bfile is unused here, but bench/worker.py's traced run patches
+# arndt.cli.export_bfile, so the name stays importable from this module.
+from .sequence import export_bfile, sequence_range, write_bfile  # noqa: F401
 
 __all__ = ["main", "entry_point"]
 
@@ -141,7 +143,7 @@ def cmd_table(args, cons: None) -> None:
 
 
 def cmd_bfile(args, cons: ScaledConstraint) -> None:
-    sys.stdout.write(export_bfile(cons, *args.range, args.offset))
+    write_bfile(sys.stdout, cons, *args.range, args.offset)
 
 
 def _add_command(sub, name, func, help, affine=None) -> argparse.ArgumentParser:

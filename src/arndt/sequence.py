@@ -13,15 +13,19 @@ valid for n > s+t; running it from a(0) = 1 is expanding the series,
 so both routes are the one loop in ``_terms``.  Note the m_0 = 1 term
 belongs in the sum: dropping it breaks even the Fibonacci case (1, 1).
 
-Everything is integer-exact; counts never overflow.
+Everything is exact; counts never overflow.  B-files run the same loop
+on ``Decimal``s that trap any rounding, since printing one is linear in
+its digits where printing an int is quadratic (and capped by default).
 """
 
 from __future__ import annotations
 
-from collections import deque
+import io
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count, islice
-from typing import Iterator, Literal
+from math import inf
+from typing import Iterator, Literal, TextIO
 
 from .core import ScaledConstraint, residue_system
 from .enumeration import count_brute
@@ -34,6 +38,7 @@ __all__ = [
     "count_recurrence",
     "sequence_range",
     "export_bfile",
+    "write_bfile",
 ]
 
 
@@ -90,23 +95,43 @@ def build_gf(cons: ScaledConstraint) -> RationalGF:
     return RationalGF(cons, tuple(num), tuple(den))
 
 
-def _terms(gf: RationalGF, start: int = 0, seed: list | None = None) -> Iterator[int]:
+def _terms(gf: RationalGF, start: int = 0, seed: list | None = None) -> Iterator:
     """Coefficients start, start+1, ... of numerator/denominator, without end,
     by long division: with den[0] = 1, c_n = num_n - sum_{j>=1} den_j * c_{n-j}.
-    ``seed`` is c_{start-m}..c_{start-1} for m = deg(den), needed if start > 0.
+    ``seed`` is c_{start-m}..c_{start-1} for m = deg(den), with c_i = 0 for
+    i < 0; it defaults to m int zeros.  The terms take the seed's number
+    type, so ``Decimal`` zeros give exact ``Decimal`` terms.
     """
     num, den = gf.numerator, gf.denominator
     m = len(den) - 1
-    # build_gf's taps are all +1; adding is about twice as fast as multiplying.
+    # window[-j] is c_{n-j}: a list, whose index is O(1) where a deque's is
+    # O(j); trimmed back to m terms once it holds `cap`.
+    window = [0] * m if seed is None else list(seed)
+    kind = type(window[-1]) if window else int
+    cap = 2 * m + 16
     taps = [(-j, -den[j]) for j in range(1, m + 1) if den[j]]
-    # window[-j] is c_{n-j}
-    window = deque([0] * m if seed is None else seed, maxlen=m)
+    reach = [-j for j, _ in taps]
+    head, d0 = taps[0] if taps else (0, 1)
+    rest = taps[1:]
+    # From n = steady on, num_n = 0 and every tap fires; a polynomial has
+    # no taps and is all numerator.
+    steady = max(len(num), m) if taps else inf
     for n in count(start):
-        c = num[n] if n < len(num) else 0
-        for j, d in taps:
-            c += window[j] if d == 1 else d * window[j]
+        if n < steady:
+            # c_{n-j} = 0 for j > n, so a(n) reads only the taps j <= n,
+            # as the GF truncated at degree n gives the same c_0..c_n.
+            c = kind(num[n] if n < len(num) else 0)
+            live = taps[: bisect_right(reach, n)]
+        else:
+            # Start from the first tap: in CPython, 0 + x copies all of x.
+            c = window[head] if d0 == 1 else d0 * window[head]
+            live = rest
+        for j, d in live:
+            c = c + (window[j] if d == 1 else d * window[j])
         yield c
         window.append(c)
+        if len(window) > cap:
+            del window[: len(window) - m]
 
 
 def expand(gf: RationalGF, n_max: int) -> SeriesExpansion:
@@ -172,17 +197,53 @@ def sequence_range(
     return list(islice(_terms(build_gf(cons)), n_lo, n_hi + 1))
 
 
+_BFILE_CHUNK = 64  # lines per write
+
+
+def _exact_context():
+    """A ``decimal`` context in which integer sums are exact: any rounding
+    raises ``Inexact``.  ``Emax`` must be lifted with ``prec``, or a sum of
+    more than 10^6 digits overflows, and so rounds."""
+    from decimal import MAX_EMAX, MAX_PREC, Context, Inexact
+
+    return Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+
+
+def write_bfile(
+    out: TextIO, cons: ScaledConstraint, n_lo: int, n_hi: int, offset: int | None = None
+) -> None:
+    """Write ``export_bfile``'s text to ``out`` as the terms come, one
+    chunk of lines per write, holding s+t terms and one chunk.
+
+    The terms are exact ``Decimal``s, computed in a context entered around
+    each chunk's arithmetic only: the caller and ``out.write`` never see it.
+    """
+    from decimal import Decimal, localcontext
+
+    if n_lo < 0 or n_lo > n_hi:
+        raise ValueError(f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
+    gf = build_gf(cons)
+    exact = _exact_context()
+    terms = islice(_terms(gf, 0, [Decimal(0)] * (len(gf.denominator) - 1)), n_lo, n_hi + 1)
+    first = n_lo if offset is None else offset
+    for lo in range(first, first + n_hi - n_lo + 1, _BFILE_CHUNK):
+        with localcontext(exact):
+            # range first: zip draws no term past the chunk's last index.
+            lines = [f"{i} {v!s}\n" for i, v in zip(range(lo, lo + _BFILE_CHUNK), terms)]
+        out.write("".join(lines))
+
+
 def export_bfile(
     cons: ScaledConstraint, n_lo: int, n_hi: int, offset: int | None = None
 ) -> str:
     """OEIS b-file text: one "index value" line per term, ASCII.
 
     Indices start at ``offset`` (default n_lo) and step by 1; values are
-    a(n_lo)..a(n_hi) from the recurrence.
+    a(n_lo)..a(n_hi) from the recurrence, printed in full at any length.
 
     >>> export_bfile(ScaledConstraint(2, 3), 1, 3)
     '1 1\\n2 1\\n3 2\\n'
     """
-    values = sequence_range(cons, n_lo, n_hi, "recurrence")
-    start = n_lo if offset is None else offset
-    return "".join(f"{start + i} {v}\n" for i, v in enumerate(values))
+    out = io.StringIO()
+    write_bfile(out, cons, n_lo, n_hi, offset)
+    return out.getvalue()

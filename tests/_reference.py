@@ -54,6 +54,19 @@ def residue_list(s: int, t: int) -> list[int]:
     return [r + ceil_div(r * t + 1, s) for r in range(s)]
 
 
+def congruence_counts(s: int, t: int, n_max: int) -> list[int]:
+    """a(0..n_max): compositions of n into parts congruent to one of
+    residue_list(s, t) modulo m = s + t, by their first part.  That part
+    is a residue r itself, leaving a(n - r), or is m larger than some
+    allowed part, which matches the compositions of n - m (n > m) part for
+    part."""
+    m, residues = s + t, residue_list(s, t)
+    a = [1]
+    for n in range(1, n_max + 1):
+        a.append(sum(a[n - r] for r in residues if r <= n) + (a[n - m] if n > m else 0))
+    return a
+
+
 def fib(n: int) -> int:
     """F_0 = 0, F_1 = 1 Fibonacci by the two-term loop."""
     a, b = 0, 1

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from arndt.cli import main
+from arndt.core import ScaledConstraint
+from arndt.sequence import export_bfile
 
 from _reference import arndt_ok, bitmask_compositions, congruence_ok, fib, residue_list
 
@@ -276,6 +278,42 @@ class TestBfile:
     def test_offset_defaults_to_range_start(self, capsys):
         code, out, _ = run(capsys, "bfile", "-s", "5", "-t", "3", "--range", "9..10")
         assert (code, out) == (0, "9 124\n10 227\n")
+
+    # Ranges on both sides of the writer's 64-line chunks, with offsets.
+    @pytest.mark.parametrize(
+        "pair,lo,hi,offset",
+        [
+            ((2, 3), 0, 0, None),
+            ((1, 1), 1, 64, None),
+            ((7, 1), 1, 65, 0),
+            ((3, 5), 63, 200, -4),
+            ((4, 3), 5, 1500, 1),
+            ((1, 7), 0, 3000, 10**20),
+        ],
+    )
+    def test_bytes_match_export_bfile(self, capsys, pair, lo, hi, offset):
+        s, t = pair
+        argv = ["bfile", "-s", str(s), "-t", str(t), "--range", f"{lo}..{hi}"]
+        if offset is not None:
+            argv += ["--offset", str(offset)]
+        expected = export_bfile(ScaledConstraint(s, t), lo, hi, offset)
+        assert run(capsys, *argv) == (0, expected, "")
+
+    def test_streams_in_bounded_memory(self, monkeypatch):
+        # Held whole, the 2.5 MB text of (2, 3) 1..5000 peaks at twice its
+        # size; streamed, at about one 64-line chunk, near 0.25 MB.
+        text_bytes = len(export_bfile(ScaledConstraint(2, 3), 1, 5000))
+        with open(os.devnull, "w") as sink, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["bfile", "-s", "2", "-t", "3", "--range", "1..5000"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert text_bytes > 2 * 10**6
+        assert peak < text_bytes // 5
 
     @pytest.mark.parametrize("bad", ["1..", "..3", "3", "1..x", "5..2"])
     def test_malformed_ranges_are_usage_errors(self, capsys, bad):

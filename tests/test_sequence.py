@@ -1,5 +1,11 @@
 """Generating functions, series expansion, recurrence, and b-file export."""
 
+import decimal
+import sys
+import time
+from decimal import MAX_PREC, Decimal, Inexact, localcontext
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +23,7 @@ from arndt.sequence import (
     sequence_range,
 )
 
-from _reference import coprime_pairs, fib, residue_list
+from _reference import congruence_counts, coprime_pairs, fib, residue_list
 
 # Series coefficients 0..9 for the four pairs with s + t = 5.
 SERIES_SUM_FIVE = {
@@ -85,9 +91,53 @@ class TestExpand:
             series = expand(build_gf(ScaledConstraint(s, t)), 30)
             assert all(v >= 1 for v in series.coefficients)
 
+    def test_non_unit_taps_follow_the_hand_recurrence(self):
+        # c_n = num_n + 2 c_{n-1} - 3 c_{n-2}, with a numerator that
+        # outlasts the denominator's degree.
+        num = (1, -1, 4, 0, 2)
+        gf = RationalGF(ScaledConstraint(2, 3), num, (1, -2, 3))
+        c = []
+        for n in range(40):
+            c.append((num[n] if n < len(num) else 0)
+                     + (2 * c[n - 1] if n >= 1 else 0) - (3 * c[n - 2] if n >= 2 else 0))
+        assert expand(gf, 39).coefficients == tuple(c)
+        assert c[:9] == [1, 1, 3, 3, -1, -11, -19, -5, 47]
+        # A denominator with no taps leaves the numerator alone.
+        polynomial = RationalGF(ScaledConstraint(2, 3), num, (1, 0, 0))
+        assert expand(polynomial, 7).coefficients == num + (0, 0, 0)
+
     def test_series_type_demands_unit_constant(self):
         with pytest.raises(ValueError):
             SeriesExpansion(ScaledConstraint(2, 3), (2, 1))
+
+
+class TestTermStream:
+    def test_resumes_from_every_start(self):
+        # From each start up to 2m, seeded with the m terms below it (zeros
+        # below index 0), the stream goes on as the full one does: across
+        # the last numerator term and the first tap-only term, on ints and
+        # on exact Decimals.
+        for s, t in coprime_pairs(8):
+            gf = build_gf(ScaledConstraint(s, t))
+            m = s + t
+            full = list(islice(arndt.sequence._terms(gf), 3 * m + 20))
+            padded = [0] * m + full
+            with localcontext(arndt.sequence._exact_context()):
+                for start in range(2 * m + 1):
+                    seed = padded[start : start + m]
+                    want = full[start : start + m + 20]
+                    for kind in (int, Decimal):
+                        stream = arndt.sequence._terms(gf, start, [kind(v) for v in seed])
+                        got = list(islice(stream, m + 20))
+                        assert got == want, (s, t, start, kind)
+                        assert {type(v) for v in got} == {kind}
+
+    def test_huge_s_reads_only_the_taps_up_to_n(self):
+        # s + t = 100001 taps, but a(n) for n <= 50 reads at most 50 of them:
+        # about 0.1 s, where reading every tap of every term took 7.6 s.
+        started = time.process_time()
+        assert count_recurrence(ScaledConstraint(10**5, 1), 50) == 2**49
+        assert time.process_time() - started < 2.0
 
 
 class TestCountRecurrence:
@@ -234,6 +284,57 @@ class TestExportBfile:
         assert [tuple(map(int, line.split(" "))) for line in lines] == [
             (lo + i, v) for i, v in enumerate(values)
         ]
+
+
+    def test_matches_the_reference_over_the_grid(self):
+        for s, t in coprime_pairs(8):
+            values = [str(v) for v in congruence_counts(s, t, 3000)]
+            for offset in (None, 0, 1, 7):
+                first = 0 if offset is None else offset
+                want = "".join(f"{first + n} {v}\n" for n, v in enumerate(values))
+                assert export_bfile(ScaledConstraint(s, t), 0, 3000, offset) == want
+
+    def test_far_values_print_past_the_int_str_limit(self):
+        # a(17000) of (3, 2) has 4737 digits; str(int) refuses it under
+        # CPython's default limit, and the b-file must not depend on it.
+        cons, limit = ScaledConstraint(3, 2), sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            text = export_bfile(cons, 17000, 17001)
+            sys.set_int_max_str_digits(0)
+            a = sequence_range(cons, 17000, 17001)
+            assert len(str(a[0])) > 4300
+            assert text == f"17000 {a[0]}\n17001 {a[1]}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            ((ScaledConstraint(2, 3), 0, 300), None),
+            ((ScaledConstraint(2, 3, k=1), 1, 5), "k != 0"),
+            ((ScaledConstraint(2, 3), 5, 2), "n_lo <= n_hi"),
+        ],
+        ids=["returns", "affine", "bad_range"],
+    )
+    def test_leaves_the_decimal_context_alone(self, args, error):
+        with localcontext(prec=7, traps=[decimal.Overflow]) as mine:
+            before = repr(mine)
+            if error is None:
+                export_bfile(*args)
+            else:
+                with pytest.raises(ValueError, match=error):
+                    export_bfile(*args)
+            assert decimal.getcontext() is mine
+            assert repr(mine) == before
+
+    def test_exact_context_holds_a_million_digits(self):
+        nines = Decimal("9" * 1_000_001)
+        with localcontext(arndt.sequence._exact_context()):
+            assert str(nines + 1) == "1" + "0" * 1_000_001
+        # Without the lifted Emax the same sum overflows, which rounds.
+        with localcontext(prec=MAX_PREC, traps=[Inexact]), pytest.raises(Inexact):
+            nines + 1
 
 
 def test_rational_gf_requires_unit_constant():
