@@ -285,7 +285,6 @@ class TestExportBfile:
             (lo + i, v) for i, v in enumerate(values)
         ]
 
-
     def test_matches_the_reference_over_the_grid(self):
         for s, t in coprime_pairs(8):
             values = [str(v) for v in congruence_counts(s, t, 3000)]
