@@ -5,6 +5,7 @@ Data goes to stdout (always ending in exactly one newline), diagnostics
 to stderr.  Exit codes: 0 success, 1 domain error (e.g. a composition
 outside the bijection's domain, brute-force ceiling exceeded), 2 usage
 error (malformed arguments, k != 0 where only k = 0 is supported).
+A stdout closed by its reader (as by ``| head -1``) exits 1 silently.
 Usage errors come from the parser, before anything is normalized or
 computed (``main`` raises ``SystemExit(2)``, as argparse does), so a
 non-coprime pair with k != 0 exits 2 where the options take only k = 0,
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 from math import gcd
@@ -239,7 +241,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    # Only here: in-process callers of main own their stdout.
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed pipe raises inside the try
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot raise too (the pattern of the signal docs' SIGPIPE note).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

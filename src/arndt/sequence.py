@@ -46,8 +46,8 @@ __all__ = [
 class RationalGF:
     """Numerator and denominator coefficient vectors, constant term first.
 
-    Both polynomials have degree s+t and the denominator's constant term
-    is 1, so the power-series quotient is integral.
+    Both polynomials have degree s+t and constant term 1, so the
+    power-series quotient is integral and starts at a(0) = 1.
     """
 
     constraint: ScaledConstraint
@@ -55,8 +55,10 @@ class RationalGF:
     denominator: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.denominator[0] != 1:
+        if not self.denominator or self.denominator[0] != 1:
             raise ValueError("denominator constant term must be 1")
+        if not self.numerator or self.numerator[0] != 1:
+            raise ValueError("numerator constant term must be 1, so that a(0) = 1")
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,7 @@ def expand(gf: RationalGF, n_max: int) -> SeriesExpansion:
     >>> expand(build_gf(ScaledConstraint(2, 3)), 9).coefficients
     (1, 1, 1, 2, 3, 4, 7, 11, 17, 27)
     """
-    if n_max < 0:
-        raise ValueError(f"series length must be >= 0, got {n_max}")
+    _check_range(0, n_max)
     return SeriesExpansion(gf.constraint, tuple(islice(_terms(gf), n_max + 1)))
 
 
@@ -151,28 +152,25 @@ def count_recurrence(
     """a(n) via the linear recurrence.
 
     ``cache`` maps index -> count and is owned by the caller; a hit is
-    answered from it, and a miss records every term up to a(n) there.  A
-    miss resumes at j = len(cache) when m < j and a(j-m)..a(j-1) are cached
-    (m the recurrence order), else it walks from a(0); so ascending calls
-    compute each term once.  No internal locking: do not share one cache
-    between threads.
+    answered from it, and a miss records a(j)..a(n) there, resuming at
+    j = len(cache) when j <= n and a(max(j-m, 0))..a(j-1) are cached (m
+    the recurrence order), else at j = 0; so ascending calls compute each
+    term once.  Without a cache it holds s+t terms.  No internal locking:
+    do not share one cache between threads.
 
     >>> count_recurrence(ScaledConstraint(2, 3), 7)
     11
     """
     gf = build_gf(cons)
-    if n < 0:
-        raise ValueError(f"sequence index must be >= 0, got {n}")
+    _check_range(0, n)
     if cache is None:
-        cache = {}
+        return next(islice(_terms(gf), n, None))
     if n not in cache:
         j, m = len(cache), len(gf.denominator) - 1
-        window = range(j - m, j)
-        if m < j <= n and all(i in cache for i in window):
-            terms = _terms(gf, j, [cache[i] for i in window])
-        else:
-            j, terms = 0, _terms(gf)
-        cache.update(zip(range(j, n + 1), terms))
+        if j > n or any(i not in cache for i in range(max(j - m, 0), j)):
+            j = 0
+        seed = [cache[i] if i >= 0 else 0 for i in range(j - m, j)]
+        cache.update(zip(range(j, n + 1), _terms(gf, j, seed)))
     return cache[n]
 
 

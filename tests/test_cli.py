@@ -418,3 +418,25 @@ def test_module_entry_point(argv, code, out):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "-s", "1", "-t", "1", "-k", "-100", "-n", "18"),
+        ("bfile", "-s", "1", "-t", "1", "--range", "0..20000"),
+    ],
+    ids=["enumerate", "bfile"],
+)
+def test_closed_stdout_exits_1_silently(argv):
+    # Both outputs far outgrow a pipe's buffer, so the command is still
+    # writing when the reader goes, as with `| head -1`.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "arndt.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b"")

@@ -3,6 +3,7 @@
 import decimal
 import sys
 import time
+import tracemalloc
 from decimal import MAX_PREC, Decimal, Inexact, localcontext
 from itertools import islice
 
@@ -105,6 +106,9 @@ class TestExpand:
         # A denominator with no taps leaves the numerator alone.
         polynomial = RationalGF(ScaledConstraint(2, 3), num, (1, 0, 0))
         assert expand(polynomial, 7).coefficients == num + (0, 0, 0)
+        # So does a denominator with no window at all.
+        windowless = RationalGF(ScaledConstraint(2, 3), (1, 2), (1,))
+        assert expand(windowless, 3).coefficients == (1, 2, 0, 0)
 
     def test_series_type_demands_unit_constant(self):
         with pytest.raises(ValueError):
@@ -176,9 +180,9 @@ class TestCountRecurrence:
         assert fresh == ascending == descending[::-1]
 
     def test_ascending_calls_resume_from_the_cache(self, monkeypatch):
-        # Past the recurrence order each miss continues from the cached
-        # window, so 0..500 draws about 501 terms, not the ~125k of
-        # restarting at a(0) on every miss.
+        # Each miss continues from the cached window, zeros standing in
+        # below a(0), so 0..500 draws each term once: 501 terms, not the
+        # ~125k of restarting at a(0) on every miss.
         cons = ScaledConstraint(2, 3)
         walked = expand(build_gf(cons), 500).coefficients
         terms, drawn = arndt.sequence._terms, 0
@@ -192,7 +196,7 @@ class TestCountRecurrence:
         monkeypatch.setattr(arndt.sequence, "_terms", counted)
         cache: dict[int, int] = {}
         assert tuple(count_recurrence(cons, n, cache) for n in range(501)) == walked
-        assert drawn <= 2 * 501
+        assert drawn == 501
 
     def test_resumes_only_from_a_whole_window(self):
         # The cache holds twelve terms, but a(9), one of the five below
@@ -203,6 +207,17 @@ class TestCountRecurrence:
         cache[40] = walked[40]
         assert count_recurrence(cons, 30, cache) == walked[30]
         assert all(cache[i] == walked[i] for i in cache)
+
+    def test_without_a_cache_holds_a_window_not_every_term(self):
+        # a(20000) of (1, 1) has 4180 digits, and the 20001 terms below it
+        # take about 19 MB; the stream's window of s+t terms takes a few kB.
+        tracemalloc.start()
+        try:
+            assert count_recurrence(ScaledConstraint(1, 1), 20000) == fib(20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @settings(max_examples=60)
     @given(st.sampled_from(coprime_pairs(8)), st.integers(0, 60))
@@ -337,5 +352,22 @@ class TestExportBfile:
 
 
 def test_rational_gf_requires_unit_constant():
-    with pytest.raises(ValueError):
-        RationalGF(ScaledConstraint(2, 3), (1, -1), (2, -1))
+    # Each would construct a GF whose series does not start a(0) = 1.
+    for num, den in [((1, -1), (2, -1)), ((0, 1), (1, -1, -1)), ((), (1, -1)), ((1,), ())]:
+        with pytest.raises(ValueError):
+            RationalGF(ScaledConstraint(2, 3), num, den)
+
+
+NEGATIVE_INDEX = {
+    "count_recurrence": lambda: count_recurrence(ScaledConstraint(2, 3), -1),
+    "count_recurrence_cached": lambda: count_recurrence(ScaledConstraint(2, 3), -1, {}),
+    "expand": lambda: expand(build_gf(ScaledConstraint(2, 3)), -1),
+    "sequence_range": lambda: sequence_range(ScaledConstraint(2, 3), -1, 2),
+    "export_bfile": lambda: export_bfile(ScaledConstraint(2, 3), -1, 2),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_INDEX.values(), ids=NEGATIVE_INDEX.keys())
+def test_negative_index_has_the_one_range_message(call):
+    with pytest.raises(ValueError, match="need 0 <= n_lo <= n_hi"):
+        call()
