@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Composition, ResidueSystem, ScaledConstraint, residue_system
+from .core import Composition, ScaledConstraint, residue_system
 
 __all__ = ["ArndtPair", "OnesBlock", "map_pair", "unmap_block", "forward", "backward"]
 
@@ -70,17 +70,17 @@ class OnesBlock:
             raise ValueError(f"anchors are parts >= 2, got {self.anchor}")
 
 
-def _pair_to_block(a: int, b: int, rs: ResidueSystem) -> tuple[int, int]:
+def _pair_to_block(a: int, b: int, s: int, modulus: int, residues) -> tuple[int, int]:
     # (ones, anchor); ones < 0 exactly when s*a <= t*b.
-    q, r = divmod(b, len(rs.residues))
-    anchor = q * rs.modulus + rs.residues[r]
+    q, r = divmod(b, s)
+    anchor = q * modulus + residues[r]
     return a + b - anchor, anchor
 
 
-def _block_to_pair(ones: int, anchor: int, rs: ResidueSystem) -> tuple[int, int]:
-    # decompose rejects anchors outside the residue system.
-    q, r = rs.decompose(anchor)
-    b = q * len(rs.residues) + r
+def _block_to_pair(ones: int, anchor: int, s: int, modulus: int, index) -> tuple[int, int]:
+    # index[residues[r]] == r; KeyError for anchors outside the residue system.
+    q, rem = divmod(anchor, modulus)
+    b = q * s + index[rem]
     return ones + anchor - b, b
 
 
@@ -93,7 +93,7 @@ def map_pair(p: ArndtPair, cons: ScaledConstraint) -> OnesBlock:
     rs = residue_system(cons)
     if p.b < 1:
         raise ValueError("map_pair needs a complete pair (b >= 1)")
-    ones, anchor = _pair_to_block(p.a, p.b, rs)
+    ones, anchor = _pair_to_block(p.a, p.b, cons.s, rs.modulus, rs.residues)
     if ones < 0:
         raise ValueError(f"pair ({p.a}, {p.b}) violates {cons.s}*a > {cons.t}*b")
     return OnesBlock(ones, anchor)
@@ -111,7 +111,8 @@ def unmap_block(blk: OnesBlock, cons: ScaledConstraint) -> ArndtPair | int:
     rs = residue_system(cons)
     if blk.anchor is None:
         return blk.ones
-    return ArndtPair(*_block_to_pair(blk.ones, blk.anchor, rs))
+    rs.decompose(blk.anchor)  # rejects anchors outside the residue system
+    return ArndtPair(*_block_to_pair(blk.ones, blk.anchor, cons.s, rs.modulus, rs._index))
 
 
 def forward(c: Composition, cons: ScaledConstraint) -> Composition:
@@ -124,23 +125,25 @@ def forward(c: Composition, cons: ScaledConstraint) -> Composition:
     '1,1,3,1'
     """
     rs = residue_system(cons)
+    s, modulus, residues, limit = cons.s, rs.modulus, rs.residues, MAX_IMAGE_PARTS
     parts = c.parts
     out: list[int] = []
-    for i in range(0, len(parts) - 1, 2):
-        ones, anchor = _pair_to_block(parts[i], parts[i + 1], rs)
+    it = iter(parts)
+    for a, b in zip(it, it):
+        ones, anchor = _pair_to_block(a, b, s, modulus, residues)
         if ones < 0:
             raise ValueError(
                 f"({','.join(map(str, parts))}) violates "
                 f"{cons.s}*a > {cons.t}*b on some pair"
             )
-        if len(out) + ones >= MAX_IMAGE_PARTS:
-            raise ValueError(f"image exceeds MAX_IMAGE_PARTS = {MAX_IMAGE_PARTS} parts")
-        out.extend([1] * ones)
+        if len(out) + ones >= limit:
+            raise ValueError(f"image exceeds MAX_IMAGE_PARTS = {limit} parts")
+        out += [1] * ones
         out.append(anchor)
     tail = parts[-1] if len(parts) % 2 else 0
-    if len(out) + tail > MAX_IMAGE_PARTS:
-        raise ValueError(f"image exceeds MAX_IMAGE_PARTS = {MAX_IMAGE_PARTS} parts")
-    out.extend([1] * tail)
+    if len(out) + tail > limit:
+        raise ValueError(f"image exceeds MAX_IMAGE_PARTS = {limit} parts")
+    out += [1] * tail
     return Composition(tuple(out))
 
 
@@ -152,14 +155,18 @@ def backward(c: Composition, cons: ScaledConstraint) -> Composition:
     '2,1,2,1'
     """
     rs = residue_system(cons)
+    s, modulus, index = cons.s, rs.modulus, rs._index
     out: list[int] = []
     ones = 0
-    for p in c.parts:
-        if p == 1:
-            ones += 1
-        else:
-            out.extend(_block_to_pair(ones, p, rs))
-            ones = 0
+    try:
+        for p in c.parts:
+            if p == 1:
+                ones += 1
+            else:
+                out += _block_to_pair(ones, p, s, modulus, index)
+                ones = 0
+    except KeyError:
+        rs.decompose(p)  # raises: p lies outside the residue system
     if ones:
         out.append(ones)
     return Composition(tuple(out))

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
+from operator import countOf
 
 __all__ = [
     "Composition",
@@ -61,9 +63,11 @@ class Composition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not all(type(p) is int and p >= 1 for p in self.parts):
-            raise ValueError(f"parts must be positive integers: {self.parts!r}")
+        parts = tuple(self.parts)
+        object.__setattr__(self, "parts", parts)
+        # Two C-level passes; exact type int first (no bool), so min sees ints.
+        if countOf(map(type, parts), int) != len(parts) or parts and min(parts) < 1:
+            raise ValueError(f"parts must be positive integers: {parts!r}")
 
     @property
     def total(self) -> int:
@@ -167,6 +171,7 @@ class ResidueSystem:
     ``residues`` is strictly increasing, starts at 1 and stays below the
     modulus, so every positive integer splits uniquely as
     ``q * modulus + residues[r]`` when it belongs to the system at all.
+    Lookups are O(1): a remainder-to-index map is built on first use.
     """
 
     modulus: int
@@ -184,16 +189,20 @@ class ResidueSystem:
                 f"residues must increase strictly within [1, {self.modulus - 1}]"
             )
 
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {m: r for r, m in enumerate(self.residues)}
+
     def contains(self, part: int) -> bool:
         """True iff ``part`` (>= 1) falls in one of the residue classes."""
         if part < 1:
             raise ValueError(f"parts are positive integers, got {part}")
-        return part % self.modulus in self.residues
+        return part % self.modulus in self._index
 
     def decompose(self, part: int) -> tuple[int, int]:
         """Split ``part`` as q * modulus + residues[r]; return (q, r).
 
-        Raises ValueError for parts outside the system.
+        O(1) in s; raises ValueError for parts outside the system.
 
         >>> residue_system(ScaledConstraint(2, 3)).decompose(6)
         (1, 0)
@@ -202,13 +211,12 @@ class ResidueSystem:
             raise ValueError(f"parts are positive integers, got {part}")
         q, rem = divmod(part, self.modulus)
         try:
-            r = self.residues.index(rem)
-        except ValueError:
+            return q, self._index[rem]
+        except KeyError:
             raise ValueError(
-                f"part {part} outside residue system "
-                f"{list(self.residues)} (mod {self.modulus})"
+                f"part {part} outside residue system: its remainder {rem} "
+                f"mod {self.modulus} is not an admitted residue"
             ) from None
-        return q, r
 
 
 def residue_system(cons: ScaledConstraint) -> ResidueSystem:

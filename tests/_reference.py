@@ -67,6 +67,24 @@ def congruence_counts(s: int, t: int, n_max: int) -> list[int]:
     return a
 
 
+def forward_image(parts: tuple[int, ...], s: int, t: int) -> tuple[int, ...]:
+    """The forward bijection recomputed from the pair formula: a pair
+    (a, b) with b = q*s + r becomes a + b - anchor ones and then
+    anchor = q*(s+t) + residue_list(s, t)[r]; a trailing unpaired part m
+    becomes m ones.  ``parts`` must satisfy s*a > t*b pair by pair."""
+    residues = residue_list(s, t)
+    image: list[int] = []
+    for i in range(0, len(parts) - 1, 2):
+        a, b = parts[i], parts[i + 1]
+        q, r = divmod(b, s)
+        anchor = q * (s + t) + residues[r]
+        assert a + b - anchor >= 0, "inadmissible pair"
+        image += [1] * (a + b - anchor) + [anchor]
+    if len(parts) % 2:
+        image += [1] * parts[-1]
+    return tuple(image)
+
+
 def fib(n: int) -> int:
     """F_0 = 0, F_1 = 1 Fibonacci by the two-term loop."""
     a, b = 0, 1

@@ -1,7 +1,10 @@
-"""Block-level maps and the full bijection, checked exhaustively at small n."""
+"""Block-level maps and the full bijection, checked exhaustively at small n
+and against an independent transcription on long inputs."""
+
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arndt import bijection
@@ -16,7 +19,7 @@ from arndt.bijection import (
 from arndt.core import Composition, ScaledConstraint, residue_system, satisfies
 from arndt.enumeration import arndt_compositions, congruence_compositions
 
-from _reference import coprime_pairs
+from _reference import coprime_pairs, forward_image
 
 # The n = 6, (s, t) = (2, 3) correspondence, singletons first.
 BIJECTION_PAIRS_N6 = [
@@ -176,6 +179,14 @@ class TestBackward:
         with pytest.raises(ValueError, match="k = 0"):
             backward(Composition((1, 1)), ScaledConstraint(1, 1, k=1))
 
+    def test_many_anchors_at_large_s_stay_fast(self):
+        # 2000 anchors under (10**6, 1): each anchor costs one lookup in the
+        # residue system, not a scan of its 10**6 residues.
+        start = time.perf_counter()
+        result = backward(Composition((999999,) * 2000), ScaledConstraint(10**6, 1))
+        assert time.perf_counter() - start < 5
+        assert result.parts == (1, 999998) * 2000
+
 
 class TestBijectionExhaustive:
     # The full grid (s+t <= 8, n <= 14) runs in the acceptance suite.
@@ -197,3 +208,36 @@ class TestBijectionExhaustive:
             assert sorted(i.parts for i in images) == [c.parts for c in targets]
             for d in targets:
                 assert forward(backward(d, cons), cons) == d
+
+
+@st.composite
+def long_arndt_compositions(draw):
+    """(s, t) from the grid and an admissible composition of up to 300
+    pairs with b up to 10**4.  Pairs come in runs of equal pairs; at the
+    least admissible a a pair maps to a bare anchor, so such runs give runs
+    of equal anchors with no ones between them.  Half the lengths are odd."""
+    s, t = draw(st.sampled_from(coprime_pairs(8)))
+    parts: list[int] = []
+    runs = st.tuples(
+        st.integers(1, 10**4), st.one_of(st.just(0), st.integers(0, 40)), st.integers(1, 5)
+    )
+    n_pairs = draw(st.integers(0, 300))
+    while len(parts) < 2 * n_pairs:
+        b, excess, times = draw(runs)
+        parts += [t * b // s + 1 + excess, b] * times
+    del parts[2 * n_pairs :]
+    tail = draw(st.one_of(st.none(), st.integers(1, 10**4)))
+    if tail is not None:
+        parts.append(tail)
+    return (s, t), tuple(parts)
+
+
+class TestBijectionLongInputs:
+    @settings(deadline=None)
+    @given(long_arndt_compositions())
+    def test_forward_matches_reference_and_round_trips(self, case):
+        (s, t), parts = case
+        cons = ScaledConstraint(s, t)
+        image = forward(Composition(parts), cons)
+        assert image.parts == forward_image(parts, s, t)
+        assert backward(image, cons).parts == parts

@@ -1,5 +1,8 @@
 """Domain types, the pair predicate, and residue systems."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -77,6 +80,13 @@ class TestComposition:
             Composition((True,))
         with pytest.raises(ValueError):
             Composition((2, False))
+        # Values equal (and hash-equal) to 1 but not of type int, deep inside
+        # a long tuple: the check is by exact type, part by part.
+        for odd in (1.0, Fraction(1), Decimal(1), True):
+            parts = [1] * 10**4
+            parts[len(parts) // 2] = odd
+            with pytest.raises(ValueError, match="positive integers"):
+                Composition(tuple(parts))
 
     def test_string_round_trip(self):
         assert str(Composition.from_string("4,1,1")) == "4,1,1"
@@ -222,6 +232,15 @@ class TestMembershipAndDecomposition:
         rs = residue_system(ScaledConstraint(2, 3))
         with pytest.raises(ValueError, match="outside residue system"):
             rs.decompose(2)
+
+    def test_outside_part_message_stays_short_at_large_s(self):
+        # Under (10**6, 1) the system holds 10**6 residues; the message names
+        # the part, its remainder and the modulus, not the residue list.
+        rs = residue_system(ScaledConstraint(10**6, 1))
+        with pytest.raises(ValueError, match="outside residue system") as info:
+            rs.decompose(10**6 + 1)
+        assert len(str(info.value)) < 200
+        assert "1000001" in str(info.value)
 
     def test_rejects_nonpositive_parts(self):
         rs = residue_system(ScaledConstraint(2, 3))
