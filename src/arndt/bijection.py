@@ -1,34 +1,33 @@
 """The sum-preserving bijection between scaled Arndt compositions and
 congruence-restricted compositions.
 
-Both directions read the constraint's residue system m_0 < ... < m_{s-1}
-(mod s+t) and nothing else.  Forward: each part pair (a, b) with
-b = q*s + r (Euclidean division, 0 <= r < s) becomes a run of ones
-followed by one anchor part
+Both directions read s and t only: the residue classes
+m_r = 1 + floor(r*(s+t)/s) (mod s+t) enter through closed forms, so
+neither builds anything of size s.  Forward: each part pair (a, b)
+becomes a run of ones followed by one anchor part
 
-    (a, b)  ->  (1^(a + b - anchor), anchor)   with anchor = q*(s+t) + m_r,
+    (a, b)  ->  (1^(a + b - anchor), anchor)   with anchor = 1 + floor(b*(s+t)/s),
 
-and a trailing unpaired part m becomes a run of m ones.  Since
-m_r = r + floor(r*t/s) + 1, the run length a + b - anchor is nonnegative
-exactly when s*a > t*b, and the anchor lies in the residue system.
+which is q*(s+t) + m_r for b = q*s + r (0 <= r < s); a trailing unpaired
+part m becomes a run of m ones.  Since anchor = b + floor(b*t/s) + 1, the
+run length a + b - anchor is nonnegative exactly when s*a > t*b.
 
-Backward: scan the congruence-restricted composition left to right,
-grouping each maximal run of ones with the next part >= 2 into a block
-(1^c, d); the anchor splits as d = q*(s+t) + m_r, which gives b = q*s + r
-and a = c + d - b.  A trailing run of ones with no anchor maps to the
-single part c.  Parts equal to 1 are never anchors, even though 1 itself
-is an admissible residue; anchors with residue 1 are exactly the parts
-1 + q*(s+t) with q >= 1.
+Backward: scan left to right, grouping each maximal run of ones with the
+next part >= 2 into a block (1^c, d).  The anchor's rank
+b = ceil((d - 1)*s/(s+t)) inverts the forward formula: d lies in the
+system exactly when 1 + floor(b*(s+t)/s) = d, and then a = c + d - b.  A
+trailing run of ones with no anchor maps to the single part c.  Parts
+equal to 1 are never anchors, even though 1 itself is an admissible
+residue; anchors with residue 1 are exactly the parts 1 + q*(s+t), q >= 1.
 
-Both directions validate their input and are defined only for k = 0,
-which ``residue_system`` enforces.
+Both directions validate their input and are defined only for k = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Composition, ScaledConstraint, residue_system
+from .core import Composition, ScaledConstraint, _rank, _require_pure
 
 __all__ = ["ArndtPair", "OnesBlock", "map_pair", "unmap_block", "forward", "backward"]
 
@@ -70,17 +69,15 @@ class OnesBlock:
             raise ValueError(f"anchors are parts >= 2, got {self.anchor}")
 
 
-def _pair_to_block(a: int, b: int, s: int, modulus: int, residues) -> tuple[int, int]:
+def _pair_to_block(a: int, b: int, s: int, modulus: int) -> tuple[int, int]:
     # (ones, anchor); ones < 0 exactly when s*a <= t*b.
-    q, r = divmod(b, s)
-    anchor = q * modulus + residues[r]
+    anchor = 1 + b * modulus // s
     return a + b - anchor, anchor
 
 
-def _block_to_pair(ones: int, anchor: int, s: int, modulus: int, index) -> tuple[int, int]:
-    # index[residues[r]] == r; KeyError for anchors outside the residue system.
-    q, rem = divmod(anchor, modulus)
-    b = q * s + index[rem]
+def _block_to_pair(ones: int, anchor: int, s: int, modulus: int) -> tuple[int, int]:
+    # _rank raises ValueError for anchors outside the residue system.
+    b = _rank(anchor, s, modulus)
     return ones + anchor - b, b
 
 
@@ -90,10 +87,10 @@ def map_pair(p: ArndtPair, cons: ScaledConstraint) -> OnesBlock:
     >>> map_pair(ArndtPair(5, 1), ScaledConstraint(2, 3))
     OnesBlock(ones=3, anchor=3)
     """
-    rs = residue_system(cons)
+    _require_pure(cons)
     if p.b < 1:
         raise ValueError("map_pair needs a complete pair (b >= 1)")
-    ones, anchor = _pair_to_block(p.a, p.b, cons.s, rs.modulus, rs.residues)
+    ones, anchor = _pair_to_block(p.a, p.b, cons.s, cons.s + cons.t)
     if ones < 0:
         raise ValueError(f"pair ({p.a}, {p.b}) violates {cons.s}*a > {cons.t}*b")
     return OnesBlock(ones, anchor)
@@ -108,11 +105,10 @@ def unmap_block(blk: OnesBlock, cons: ScaledConstraint) -> ArndtPair | int:
     >>> unmap_block(OnesBlock(6, None), ScaledConstraint(2, 3))
     6
     """
-    rs = residue_system(cons)
+    _require_pure(cons)
     if blk.anchor is None:
         return blk.ones
-    rs.decompose(blk.anchor)  # rejects anchors outside the residue system
-    return ArndtPair(*_block_to_pair(blk.ones, blk.anchor, cons.s, rs.modulus, rs._index))
+    return ArndtPair(*_block_to_pair(blk.ones, blk.anchor, cons.s, cons.s + cons.t))
 
 
 def forward(c: Composition, cons: ScaledConstraint) -> Composition:
@@ -124,13 +120,13 @@ def forward(c: Composition, cons: ScaledConstraint) -> Composition:
     >>> str(forward(Composition((4, 1, 1)), ScaledConstraint(2, 3)))
     '1,1,3,1'
     """
-    rs = residue_system(cons)
-    s, modulus, residues, limit = cons.s, rs.modulus, rs.residues, MAX_IMAGE_PARTS
+    _require_pure(cons)
+    s, modulus, limit = cons.s, cons.s + cons.t, MAX_IMAGE_PARTS
     parts = c.parts
     out: list[int] = []
     it = iter(parts)
     for a, b in zip(it, it):
-        ones, anchor = _pair_to_block(a, b, s, modulus, residues)
+        ones, anchor = _pair_to_block(a, b, s, modulus)
         if ones < 0:
             raise ValueError(
                 f"({','.join(map(str, parts))}) violates "
@@ -154,19 +150,16 @@ def backward(c: Composition, cons: ScaledConstraint) -> Composition:
     >>> str(backward(Composition((3, 3)), ScaledConstraint(2, 3)))
     '2,1,2,1'
     """
-    rs = residue_system(cons)
-    s, modulus, index = cons.s, rs.modulus, rs._index
+    _require_pure(cons)
+    s, modulus = cons.s, cons.s + cons.t
     out: list[int] = []
     ones = 0
-    try:
-        for p in c.parts:
-            if p == 1:
-                ones += 1
-            else:
-                out += _block_to_pair(ones, p, s, modulus, index)
-                ones = 0
-    except KeyError:
-        rs.decompose(p)  # raises: p lies outside the residue system
+    for p in c.parts:
+        if p == 1:
+            ones += 1
+        else:
+            out += _block_to_pair(ones, p, s, modulus)
+            ones = 0
     if ones:
         out.append(ones)
     return Composition(tuple(out))

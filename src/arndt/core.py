@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 from operator import countOf
 
@@ -164,40 +163,48 @@ def satisfies(c: Composition, cons: ScaledConstraint) -> bool:
     return _satisfies_parts(c.parts, cons.s, cons.t, cons.k)
 
 
+def _rank(part: int, s: int, modulus: int) -> int:
+    # The b with part = 1 + floor(b*modulus/s), i.e. b = ceil((part-1)*s/modulus);
+    # a part not of that form lies outside the system.
+    b = -((1 - part) * s // modulus)
+    if b * modulus // s != part - 1:
+        raise ValueError(
+            f"part {part} outside residue system: its remainder {part % modulus} "
+            f"mod {modulus} is not an admitted residue"
+        )
+    return b
+
+
 @dataclass(frozen=True)
 class ResidueSystem:
     """The part residues modulo s+t admissible for a coprime pair (s, t).
 
-    ``residues`` is strictly increasing, starts at 1 and stays below the
-    modulus, so every positive integer splits uniquely as
-    ``q * modulus + residues[r]`` when it belongs to the system at all.
-    Lookups are O(1): a remainder-to-index map is built on first use.
+    The constructor accepts exactly ``residues[r] = 1 + floor(r*modulus/s)``
+    for r = 0..s-1, with s = len(residues) < modulus.  So the system's parts
+    are the numbers 1 + floor(b*modulus/s) for b >= 0, and every lookup is
+    O(1) arithmetic that never reads the tuple.  The system does not know k:
+    :func:`residue_system` is what refuses k != 0.
     """
 
     modulus: int
     residues: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "residues", tuple(self.residues))
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        rs = self.residues
-        if not rs or rs[0] != 1:
-            raise ValueError("residue list must start at 1")
-        if any(b <= a for a, b in zip(rs, rs[1:])) or rs[-1] >= self.modulus:
-            raise ValueError(
-                f"residues must increase strictly within [1, {self.modulus - 1}]"
-            )
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {m: r for r, m in enumerate(self.residues)}
+        rs = tuple(self.residues)
+        object.__setattr__(self, "residues", rs)
+        s, modulus = len(rs), self.modulus
+        if not 0 < s < modulus or any(m != 1 + r * modulus // s for r, m in enumerate(rs)):
+            raise ValueError(f"residues[r] must be 1 + r*{modulus}//s, 0 <= r < s < {modulus}")
 
     def contains(self, part: int) -> bool:
         """True iff ``part`` (>= 1) falls in one of the residue classes."""
         if part < 1:
             raise ValueError(f"parts are positive integers, got {part}")
-        return part % self.modulus in self._index
+        try:
+            _rank(part, len(self.residues), self.modulus)
+        except ValueError:
+            return False
+        return True
 
     def decompose(self, part: int) -> tuple[int, int]:
         """Split ``part`` as q * modulus + residues[r]; return (q, r).
@@ -209,33 +216,32 @@ class ResidueSystem:
         """
         if part < 1:
             raise ValueError(f"parts are positive integers, got {part}")
-        q, rem = divmod(part, self.modulus)
-        try:
-            return q, self._index[rem]
-        except KeyError:
-            raise ValueError(
-                f"part {part} outside residue system: its remainder {rem} "
-                f"mod {self.modulus} is not an admitted residue"
-            ) from None
+        s = len(self.residues)
+        return divmod(_rank(part, s, self.modulus), s)
 
 
-def residue_system(cons: ScaledConstraint) -> ResidueSystem:
-    """Residue classes mod s+t whose compositions match the Arndt count.
-
-    The r-th allowed residue is r + ceil((r*t + 1) / s) for r = 0..s-1;
-    the r = 0 class is always 1, so parts equal to 1 are always admitted.
-    Defined only for the pure scaled condition (k = 0); the bijection and
-    the generating function are built from this system, so this is the one
-    place that refuses k != 0.
-
-    >>> residue_system(ScaledConstraint(2, 3))
-    ResidueSystem(modulus=5, residues=(1, 3))
-    """
+def _require_pure(cons: ScaledConstraint) -> None:
+    # The one refusal of k != 0 (residue system, bijection, generating function).
     if cons.k != 0:
         raise ValueError(
             f"defined only for offset k = 0: no residue system, bijection or "
             f"generating function is known for k != 0 (got k = {cons.k})"
         )
+
+
+def residue_system(cons: ScaledConstraint) -> ResidueSystem:
+    """Residue classes mod s+t whose compositions match the Arndt count.
+
+    The r-th allowed residue is r + ceil((r*t + 1) / s) for r = 0..s-1,
+    which equals 1 + floor(r*(s+t)/s); the r = 0 class is always 1, so
+    parts equal to 1 are always admitted.  Defined only for the pure scaled
+    condition (k = 0): it refuses k != 0 through the same guard as the
+    bijection, which reads only s and t, never this system.
+
+    >>> residue_system(ScaledConstraint(2, 3))
+    ResidueSystem(modulus=5, residues=(1, 3))
+    """
+    _require_pure(cons)
     s, t = cons.s, cons.t
     residues = tuple(r + ceil_div(r * t + 1, s) for r in range(s))
     return ResidueSystem(s + t, residues)

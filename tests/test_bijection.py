@@ -2,6 +2,7 @@
 and against an independent transcription on long inputs."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -180,12 +181,25 @@ class TestBackward:
             backward(Composition((1, 1)), ScaledConstraint(1, 1, k=1))
 
     def test_many_anchors_at_large_s_stay_fast(self):
-        # 2000 anchors under (10**6, 1): each anchor costs one lookup in the
-        # residue system, not a scan of its 10**6 residues.
+        # 2000 anchors under (10**6, 1): each anchor's rank is closed-form
+        # arithmetic on s and t, not a lookup among 10**6 residues.
         start = time.perf_counter()
         result = backward(Composition((999999,) * 2000), ScaledConstraint(10**6, 1))
         assert time.perf_counter() - start < 5
         assert result.parts == (1, 999998) * 2000
+
+    def test_round_trip_memory_does_not_grow_with_s(self):
+        # Neither direction builds the 10**6 residues of (10**6, 1).
+        cons = ScaledConstraint(10**6, 1)
+        tracemalloc.start()
+        try:
+            image = forward(Composition((5, 1)), cons)
+            back = backward(image, cons)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (image.parts, back.parts) == ((1, 1, 1, 1, 2), (5, 1))
+        assert peak < 10**6
 
 
 class TestBijectionExhaustive:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -228,6 +229,15 @@ class TestMapUnmap:
     def test_affine_offset_is_a_usage_error(self, capsys):
         code, _, _ = run(capsys, "map", "-s", "2", "-t", "3", "-k", "1", "-c", "6")
         assert code == 2
+
+    def test_round_trip_at_huge_s(self, capsys):
+        # s = 10**9 has 10**9 residues; map and unmap read only s and t.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "map", "-s", "1000000000", "-t", "1", "-c", "5,1")
+        assert (code, out) == (0, "1,1,1,1,2\n")
+        code, out, _ = run(capsys, "unmap", "-s", "1000000000", "-t", "1", "-c", out.strip())
+        assert (code, out) == (0, "5,1\n")
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("parts", [f"{10**18},1", "99999999999999999999,1"])
     def test_map_refuses_an_image_past_the_limit(self, capsys, parts):

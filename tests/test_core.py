@@ -214,6 +214,12 @@ class TestResidueSystem:
             ResidueSystem(5, (1, 5))  # residue reaches the modulus
         with pytest.raises(ValueError):
             ResidueSystem(5, (1, 3, 3))  # not strictly increasing
+        # Increasing from 1 below the modulus, but not 1 + floor(r*7/3) = (1, 3, 5),
+        # so the closed-form lookups could not serve them.
+        with pytest.raises(ValueError):
+            ResidueSystem(7, (1, 5, 6))
+        with pytest.raises(ValueError):
+            ResidueSystem(7, (1, 2, 5))
 
 
 class TestMembershipAndDecomposition:
@@ -249,6 +255,21 @@ class TestMembershipAndDecomposition:
         with pytest.raises(ValueError):
             rs.decompose(0)
 
+    def test_closed_form_agrees_with_reference_on_every_part(self):
+        # Members and non-members alike, against the recomputed residue list.
+        for s, t in coprime_pairs(40):
+            rs = residue_system(ScaledConstraint(s, t))
+            m = s + t
+            residues = residue_list(s, t)
+            for p in range(1, 3 * m + 1):
+                member = p % m in residues
+                assert rs.contains(p) == member
+                if member:
+                    assert rs.decompose(p) == (p // m, residues.index(p % m))
+                else:
+                    with pytest.raises(ValueError, match="outside residue system"):
+                        rs.decompose(p)
+
     @given(st.sampled_from(coprime_pairs(8)), st.integers(0, 40), st.data())
     def test_decompose_inverts_reconstruction(self, pair, q, data):
         rs = residue_system(ScaledConstraint(*pair))
@@ -277,8 +298,8 @@ K_ZERO_ONLY = {
 
 @pytest.mark.parametrize("call", K_ZERO_ONLY.values(), ids=K_ZERO_ONLY.keys())
 def test_one_offset_guard(call):
-    # residue_system is the only place that refuses k != 0, so every
-    # k = 0-only entry point fails with its message, word for word.
+    # One guard, which residue_system calls, refuses k != 0, so every
+    # k = 0-only entry point fails with residue_system's message, word for word.
     with pytest.raises(ValueError) as expected:
         residue_system(AFFINE)
     with pytest.raises(ValueError) as got:
