@@ -25,48 +25,44 @@ Both directions validate their input and are defined only for k = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Composition, ScaledConstraint, _rank, _require_pure
+from .core import Composition, ScaledConstraint, _rank, _require_pure, _Value
 
 __all__ = ["ArndtPair", "OnesBlock", "map_pair", "unmap_block", "forward", "backward"]
 
 MAX_IMAGE_PARTS = 10**7  # forward's limit: a pair (a, b) becomes up to a + b parts
 
 
-@dataclass(frozen=True)
-class ArndtPair:
+class ArndtPair(_Value):
     """One (odd, even) part pair; b = 0 encodes an absent final partner."""
 
-    a: int
-    b: int
+    __slots__ = __match_args__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if self.a < 1:
-            raise ValueError(f"first part of a pair must be positive, got {self.a}")
-        if self.b < 0:
-            raise ValueError(f"second part of a pair must be >= 0, got {self.b}")
+    def __init__(self, a: int, b: int) -> None:
+        if a < 1:
+            raise ValueError(f"first part of a pair must be positive, got {a}")
+        if b < 0:
+            raise ValueError(f"second part of a pair must be >= 0, got {b}")
+        super().__init__(a, b)
 
 
-@dataclass(frozen=True)
-class OnesBlock:
+class OnesBlock(_Value):
     """A run of ``ones`` parts 1, optionally terminated by an anchor >= 2.
 
     ``anchor=None`` marks the trailing block of a composition, which then
     must contain at least one 1.
     """
 
-    ones: int
-    anchor: int | None = None
+    __slots__ = __match_args__ = ("ones", "anchor")
 
-    def __post_init__(self) -> None:
-        if self.ones < 0:
-            raise ValueError(f"run length must be >= 0, got {self.ones}")
-        if self.anchor is None:
-            if self.ones < 1:
+    def __init__(self, ones: int, anchor: int | None = None) -> None:
+        if ones < 0:
+            raise ValueError(f"run length must be >= 0, got {ones}")
+        if anchor is None:
+            if ones < 1:
                 raise ValueError("a trailing block without anchor must be nonempty")
-        elif self.anchor < 2:
-            raise ValueError(f"anchors are parts >= 2, got {self.anchor}")
+        elif anchor < 2:
+            raise ValueError(f"anchors are parts >= 2, got {anchor}")
+        super().__init__(ones, anchor)
 
 
 def _pair_to_block(a: int, b: int, s: int, modulus: int) -> tuple[int, int]:

@@ -15,7 +15,6 @@ as in ``count -s 4 -t 6 -k 1 -n 6 --method recurrence``, and 1 elsewhere.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import islice
@@ -66,6 +65,8 @@ def cmd_enumerate(args, cons: ScaledConstraint) -> None:
     else:
         stream = arndt_compositions(args.n, cons)
     if args.format == "json":
+        import json  # here only: every other command would pay its import
+
         # The bytes of json.dumps(list), written as the stream runs: each
         # chunk's array without its brackets, joined by json's separator.
         sys.stdout.write("[")

@@ -14,14 +14,13 @@ s prescribed residue classes modulo s+t; ``residue_system`` computes those
 classes.
 
 All arithmetic is exact integer arithmetic.  Every type here is an
-immutable value and every function is pure, so unrestricted concurrent use
-is safe.
+immutable value (a ``__slots__`` class on ``_Value``, cheap to import)
+and every function is pure, so unrestricted concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
 from operator import countOf
 
@@ -45,11 +44,45 @@ def ceil_div(a: int, b: int) -> int:
     return (a + b - 1) // b
 
 
+class _Value:
+    """Base of the immutable value types, whose fields are their ``__slots__``.
+
+    ``__reduce__`` gives (type, fields), which equality (same type only),
+    hash, pickle and copy share, so loading reruns the constructor's checks.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 _PARTS_RE = re.compile(r"\d+(,\d+)*")
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(_Value):
     """An ordered tuple of positive integer parts.
 
     >>> c = Composition((4, 1, 1))
@@ -59,14 +92,14 @@ class Composition:
     The empty composition ``Composition(())`` is the one composition of 0.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = __match_args__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        parts = tuple(parts)
         # Two C-level passes; exact type int first (no bool), so min sees ints.
         if countOf(map(type, parts), int) != len(parts) or parts and min(parts) < 1:
             raise ValueError(f"parts must be positive integers: {parts!r}")
+        object.__setattr__(self, "parts", parts)  # not super().__init__: a hot path
 
     @property
     def total(self) -> int:
@@ -98,8 +131,7 @@ class Composition:
         return self.parts[i]
 
 
-@dataclass(frozen=True)
-class ScaledConstraint:
+class ScaledConstraint(_Value):
     """Coprime scaling pair (s, t) with affine offset k (default 0).
 
     The constructor insists on coprime s and t; use :func:`normalize` to
@@ -107,17 +139,14 @@ class ScaledConstraint:
     condition, for which only brute-force enumeration is available.
     """
 
-    s: int
-    t: int
-    k: int = 0
+    __slots__ = __match_args__ = ("s", "t", "k")
 
-    def __post_init__(self) -> None:
-        if self.s < 1 or self.t < 1:
-            raise ValueError(f"s and t must be positive, got ({self.s}, {self.t})")
-        if gcd(self.s, self.t) != 1:
-            raise ValueError(
-                f"({self.s}, {self.t}) is not coprime; reduce it with normalize()"
-            )
+    def __init__(self, s: int, t: int, k: int = 0) -> None:
+        if s < 1 or t < 1:
+            raise ValueError(f"s and t must be positive, got ({s}, {t})")
+        if gcd(s, t) != 1:
+            raise ValueError(f"({s}, {t}) is not coprime; reduce it with normalize()")
+        super().__init__(s, t, k)
 
 
 def normalize(s: int, t: int, k: int = 0) -> ScaledConstraint:
@@ -175,8 +204,7 @@ def _rank(part: int, s: int, modulus: int) -> int:
     return b
 
 
-@dataclass(frozen=True)
-class ResidueSystem:
+class ResidueSystem(_Value):
     """The part residues modulo s+t admissible for a coprime pair (s, t).
 
     The constructor accepts exactly ``residues[r] = 1 + floor(r*modulus/s)``
@@ -186,15 +214,14 @@ class ResidueSystem:
     :func:`residue_system` is what refuses k != 0.
     """
 
-    modulus: int
-    residues: tuple[int, ...]
+    __slots__ = __match_args__ = ("modulus", "residues")
 
-    def __post_init__(self) -> None:
-        rs = tuple(self.residues)
-        object.__setattr__(self, "residues", rs)
-        s, modulus = len(rs), self.modulus
+    def __init__(self, modulus: int, residues: tuple[int, ...]) -> None:
+        rs = tuple(residues)
+        s = len(rs)
         if not 0 < s < modulus or any(m != 1 + r * modulus // s for r, m in enumerate(rs)):
             raise ValueError(f"residues[r] must be 1 + r*{modulus}//s, 0 <= r < s < {modulus}")
+        super().__init__(modulus, rs)
 
     def contains(self, part: int) -> bool:
         """True iff ``part`` (>= 1) falls in one of the residue classes."""

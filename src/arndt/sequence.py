@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import count, islice
 from math import inf
 from typing import Iterator, Literal, TextIO
 
-from .core import ScaledConstraint, residue_system
+from .core import ScaledConstraint, _Value, residue_system
 from .enumeration import count_brute
 
 __all__ = [
@@ -42,35 +41,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(_Value):
     """Numerator and denominator coefficient vectors, constant term first.
 
     Both polynomials have degree s+t and constant term 1, so the
     power-series quotient is integral and starts at a(0) = 1.
     """
 
-    constraint: ScaledConstraint
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
+    __slots__ = __match_args__ = ("constraint", "numerator", "denominator")
 
-    def __post_init__(self) -> None:
-        if not self.denominator or self.denominator[0] != 1:
+    def __init__(self, constraint: ScaledConstraint,
+                 numerator: tuple[int, ...], denominator: tuple[int, ...]) -> None:
+        if not denominator or denominator[0] != 1:
             raise ValueError("denominator constant term must be 1")
-        if not self.numerator or self.numerator[0] != 1:
+        if not numerator or numerator[0] != 1:
             raise ValueError("numerator constant term must be 1, so that a(0) = 1")
+        super().__init__(constraint, numerator, denominator)
 
 
-@dataclass(frozen=True)
-class SeriesExpansion:
+class SeriesExpansion(_Value):
     """Coefficients 0..N of the counting series for one constraint."""
 
-    constraint: ScaledConstraint
-    coefficients: tuple[int, ...]
+    __slots__ = __match_args__ = ("constraint", "coefficients")
 
-    def __post_init__(self) -> None:
-        if not self.coefficients or self.coefficients[0] != 1:
+    def __init__(self, constraint: ScaledConstraint, coefficients: tuple[int, ...]) -> None:
+        if not coefficients or coefficients[0] != 1:
             raise ValueError("series must start with the empty composition, a(0) = 1")
+        super().__init__(constraint, coefficients)
 
     def __getitem__(self, n: int) -> int:
         return self.coefficients[n]
