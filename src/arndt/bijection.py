@@ -71,12 +71,6 @@ def _pair_to_block(a: int, b: int, s: int, modulus: int) -> tuple[int, int]:
     return a + b - anchor, anchor
 
 
-def _block_to_pair(ones: int, anchor: int, s: int, modulus: int) -> tuple[int, int]:
-    # _rank raises ValueError for anchors outside the residue system.
-    b = _rank(anchor, s, modulus)
-    return ones + anchor - b, b
-
-
 def map_pair(p: ArndtPair, cons: ScaledConstraint) -> OnesBlock:
     """Image of one complete pair (b >= 1) under the forward map.
 
@@ -104,7 +98,8 @@ def unmap_block(blk: OnesBlock, cons: ScaledConstraint) -> ArndtPair | int:
     _require_pure(cons)
     if blk.anchor is None:
         return blk.ones
-    return ArndtPair(*_block_to_pair(blk.ones, blk.anchor, cons.s, cons.s + cons.t))
+    b = _rank(blk.anchor, cons.s, cons.s + cons.t)
+    return ArndtPair(blk.ones + blk.anchor - b, b)
 
 
 def forward(c: Composition, cons: ScaledConstraint) -> Composition:
@@ -154,7 +149,8 @@ def backward(c: Composition, cons: ScaledConstraint) -> Composition:
         if p == 1:
             ones += 1
         else:
-            out += _block_to_pair(ones, p, s, modulus)
+            b = _rank(p, s, modulus)  # raises for anchors outside the system
+            out += (ones + p - b, b)
             ones = 0
     if ones:
         out.append(ones)

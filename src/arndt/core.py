@@ -20,7 +20,6 @@ and every function is pure, so unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
-import re
 from math import gcd
 from operator import countOf
 
@@ -79,9 +78,6 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-_PARTS_RE = re.compile(r"\d+(,\d+)*")
-
-
 class Composition(_Value):
     """An ordered tuple of positive integer parts.
 
@@ -114,9 +110,10 @@ class Composition(_Value):
         """
         if text == "":
             return cls(())
-        if not _PARTS_RE.fullmatch(text):
+        fields = text.split(",")
+        if not all(map(str.isdecimal, fields)):
             raise ValueError(f"malformed composition {text!r}; expected e.g. '4,1,1'")
-        return cls(tuple(int(p) for p in text.split(",")))
+        return cls(tuple(map(int, fields)))
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
@@ -259,8 +256,8 @@ def _require_pure(cons: ScaledConstraint) -> None:
 def residue_system(cons: ScaledConstraint) -> ResidueSystem:
     """Residue classes mod s+t whose compositions match the Arndt count.
 
-    The r-th allowed residue is r + ceil((r*t + 1) / s) for r = 0..s-1,
-    which equals 1 + floor(r*(s+t)/s); the r = 0 class is always 1, so
+    The r-th allowed residue is 1 + floor(r*(s+t)/s) for r = 0..s-1, the
+    paper's r + ceil((r*t + 1) / s); the r = 0 class is always 1, so
     parts equal to 1 are always admitted.  Defined only for the pure scaled
     condition (k = 0): it refuses k != 0 through the same guard as the
     bijection, which reads only s and t, never this system.
@@ -269,6 +266,5 @@ def residue_system(cons: ScaledConstraint) -> ResidueSystem:
     ResidueSystem(modulus=5, residues=(1, 3))
     """
     _require_pure(cons)
-    s, t = cons.s, cons.t
-    residues = tuple(r + ceil_div(r * t + 1, s) for r in range(s))
-    return ResidueSystem(s + t, residues)
+    s, m = cons.s, cons.s + cons.t
+    return ResidueSystem(m, tuple(1 + r * m // s for r in range(s)))

@@ -14,7 +14,7 @@ Streams are single-consumer iterators; counting functions are pure.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .core import Composition, ResidueSystem, ScaledConstraint, _satisfies_parts
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_right
+from collections.abc import Iterator
 from itertools import count, islice
 from math import inf
-from typing import Iterator, Literal, TextIO
 
-from .core import ScaledConstraint, _Value, residue_system
+from .core import ScaledConstraint, _require_pure, _Value, residue_system
 from .enumeration import count_brute
 
 __all__ = [
@@ -158,11 +158,13 @@ def count_recurrence(
     >>> count_recurrence(ScaledConstraint(2, 3), 7)
     11
     """
-    gf = build_gf(cons)
+    # Refuse before the cache is read; build the GF (O(s+t)) only on a miss.
+    _require_pure(cons)
     _check_range(0, n)
     if cache is None:
-        return next(islice(_terms(gf), n, None))
+        return next(islice(_terms(build_gf(cons)), n, None))
     if n not in cache:
+        gf = build_gf(cons)
         j, m = len(cache), len(gf.denominator) - 1
         if j > n or any(i not in cache for i in range(max(j - m, 0), j)):
             j = 0
@@ -171,16 +173,13 @@ def count_recurrence(
     return cache[n]
 
 
-Method = Literal["recurrence", "series", "brute"]
-
-
 def _check_range(n_lo: int, n_hi: int) -> None:
     if n_lo < 0 or n_lo > n_hi:
         raise ValueError(f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
 
 
 def sequence_range(
-    cons: ScaledConstraint, n_lo: int, n_hi: int, method: Method = "recurrence"
+    cons: ScaledConstraint, n_lo: int, n_hi: int, method: str = "recurrence"
 ) -> list[int]:
     """a(n) for n in [n_lo, n_hi] by the chosen method.
 
@@ -209,7 +208,7 @@ def _exact_context():
 
 
 def write_bfile(
-    out: TextIO, cons: ScaledConstraint, n_lo: int, n_hi: int, offset: int | None = None
+    out: io.TextIOBase, cons: ScaledConstraint, n_lo: int, n_hi: int, offset: int | None = None
 ) -> None:
     """Write ``export_bfile``'s text to ``out`` as the terms come, one
     chunk of lines per write, holding s+t terms and one chunk.

@@ -1,10 +1,11 @@
 """Domain types, the pair predicate, and residue systems."""
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arndt.bijection import (
@@ -96,6 +97,23 @@ class TestComposition:
     def test_from_string_is_strict(self, bad):
         with pytest.raises(ValueError):
             Composition.from_string(bad)
+
+    @settings(max_examples=300)
+    @given(st.text(st.sampled_from("0123456789,,, +-_.aZ\u0663\uff11\u00b2\n"), max_size=12))
+    def test_from_string_accepts_the_digit_list_language(self, text):
+        # Exactly "" and the strings \d+(,\d+)* matches ("\u0663" and "\uff11"
+        # are decimal digits, "\u00b2" is not); a zero field parses, and the
+        # constructor then refuses it.
+        if text and not re.fullmatch(r"\d+(,\d+)*", text):
+            with pytest.raises(ValueError, match="malformed composition"):
+                Composition.from_string(text)
+            return
+        parts = tuple(map(int, text.split(","))) if text else ()
+        if 0 in parts:
+            with pytest.raises(ValueError, match="positive integers"):
+                Composition.from_string(text)
+        else:
+            assert Composition.from_string(text).parts == parts
 
     def test_coerces_lists_to_tuples(self):
         assert Composition([2, 1]).parts == (2, 1)
@@ -203,7 +221,8 @@ class TestResidueSystem:
             assert len(set(r % rs.modulus for r in rs.residues)) == s
 
     def test_agrees_with_reference_formula(self):
-        for s, t in coprime_pairs(12):
+        # The reference keeps the paper's form r + ceil((r*t + 1)/s).
+        for s, t in coprime_pairs(12) + [(1000, 7), (7, 1000), (997, 1000), (1999, 2)]:
             rs = residue_system(ScaledConstraint(s, t))
             assert list(rs.residues) == residue_list(s, t)
 

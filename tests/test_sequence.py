@@ -170,6 +170,15 @@ class TestCountRecurrence:
         with pytest.raises(ValueError):
             count_recurrence(ScaledConstraint(2, 3), -1)
 
+    def test_a_cache_hit_builds_no_generating_function(self):
+        # At (10**6, 1) the GF has 10**6 + 2 coefficients per polynomial;
+        # building it before reading the cache took about 0.5 s per hit.
+        cons, cache = ScaledConstraint(10**6, 1), {}
+        assert count_recurrence(cons, 20, cache) == 2**19
+        started = time.process_time()
+        assert count_recurrence(cons, 10, cache) == 2**9
+        assert time.process_time() - started < 0.05
+
     def test_cache_reuse_and_evaluation_order(self):
         cons = ScaledConstraint(3, 2)
         fresh = [count_recurrence(cons, n) for n in range(31)]
