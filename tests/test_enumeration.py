@@ -3,6 +3,7 @@
 import pytest
 
 from arndt.core import Composition, ScaledConstraint, residue_system, satisfies
+import arndt.enumeration
 from arndt.enumeration import (
     BRUTE_FORCE_CEILING,
     BruteForceCeilingError,
@@ -15,6 +16,7 @@ from arndt.enumeration import (
 from _reference import (
     arndt_ok,
     bitmask_compositions,
+    congruence_counts,
     congruence_ok,
     coprime_pairs,
     fib,
@@ -140,6 +142,22 @@ def test_streams_against_the_bitmask_oracle(s, t):
         assert count_brute(n, rs) == len(got)
 
 
+@pytest.mark.parametrize("s,t", coprime_pairs(8))
+def test_count_brute_past_the_bitmask_oracle(s, t):
+    # Deeper than the stream test above: both sides against the reference
+    # recurrence for n = 13..18, and affine offsets against the drained stream.
+    cons = ScaledConstraint(s, t)
+    rs = residue_system(cons)
+    expected = congruence_counts(s, t, 18)
+    for n in range(13, 19):
+        assert count_brute(n, cons) == expected[n]
+        assert count_brute(n, rs) == expected[n]
+    for n in (13, 14):
+        for k in (-3, 3):
+            affine = ScaledConstraint(s, t, k)
+            assert count_brute(n, affine) == sum(1 for _ in arndt_compositions(n, affine))
+
+
 class TestCongruenceCompositions:
     def test_table_row_for_two_three(self):
         rs = residue_system(ScaledConstraint(2, 3))
@@ -186,6 +204,30 @@ class TestCountBrute:
             rs = residue_system(cons)
             for n in range(0, 13):
                 assert count_brute(n, cons) == count_brute(n, rs)
+
+    def test_counts_without_walking(self, monkeypatch):
+        # count_brute reads the table of admissible blocks, not the stream walk.
+        def no_walk(n, blocks):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(arndt.enumeration, "_walk", no_walk)
+        for s, t in [(1, 1), (2, 3), (3, 2), (7, 1)]:
+            cons = ScaledConstraint(s, t)
+            rs = residue_system(cons)
+            for n, expected in enumerate(congruence_counts(s, t, 14)):
+                assert count_brute(n, cons) == expected
+                assert count_brute(n, rs) == expected
+        with pytest.raises(AssertionError, match="walked"):
+            list(arndt_compositions(5, ScaledConstraint(2, 3)))
+        with pytest.raises(AssertionError, match="walked"):
+            list(congruence_compositions(5, residue_system(ScaledConstraint(2, 3))))
+
+    def test_every_composition_admitted(self):
+        # With k far below 0 every pair passes: the widest tree there is.
+        cons = ScaledConstraint(1, 1, -10**6)
+        assert count_brute(0, cons) == 1
+        for n in range(1, 21):
+            assert count_brute(n, cons) == 2 ** (n - 1)
 
     def test_required_ceiling_capability(self):
         # n = 22 is within contract: 2**21 compositions, Fibonacci check.
