@@ -8,14 +8,14 @@ free final part on the Arndt side, one part on the congruence side).  Every
 admissible prefix finishes in a match and the full set is never held: a stream
 pays amortized O(n) per composition emitted, ``count_brute`` builds none and
 pays O(1) per admissible prefix that leaves a positive remainder.
-Every filtered walk refuses n beyond ``BRUTE_FORCE_CEILING`` when called.
+Every walk refuses n beyond ``BRUTE_FORCE_CEILING`` when called.
 
 Streams are single-consumer iterators; counting functions are pure.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterator
 
 from .core import Composition, ResidueSystem, ScaledConstraint, _satisfies_parts
 
@@ -28,21 +28,24 @@ __all__ = [
     "count_brute",
 ]
 
-# Largest n any filtered walk (count_brute and both streams) will take: at
+# Largest n any walk (count_brute and the three streams) will take: at
 # worst (k << 0) 2**25 matches, counted in about 3 s or streamed in about 70 s
 # of CPU (Intel Xeon vCPU, Python 3.11); larger n is refused, not run unbounded.
 BRUTE_FORCE_CEILING = 26
 
 
 class BruteForceCeilingError(ValueError):
-    """Raised when a brute-force count would exceed the documented ceiling."""
+    """Raised when a brute-force count or stream would pass the documented ceiling."""
 
 
-def _walk(n: int, blocks: Callable[[int], Iterable]) -> Iterator[list[int]]:
-    # blocks(r) iterates, lexicographically, the blocks that may follow a prefix
-    # leaving remainder r, each with the remainder it leaves; a prefix leaving
-    # 0 is yielded.  The yielded list is mutated in place between steps;
-    # consumers must copy before keeping a reference.
+# all_compositions' constraint for _steps: every part passes.  Private, so
+# every public caller still has to pass a real constraint.
+_EVERY_PART = object()
+
+
+def _walk(n: int, steps: list[list]) -> Iterator[Composition]:
+    # Depth first through a table from _steps, reading row r after a prefix
+    # leaving remainder r; each prefix leaving 0 is yielded as a Composition.
     parts, stack = [], []
     level, mark = iter((((), n),)), 0  # the root: one empty block leaving n
     while True:
@@ -50,43 +53,33 @@ def _walk(n: int, blocks: Callable[[int], Iterable]) -> Iterator[list[int]]:
             parts[mark:] = block
             if r:
                 stack.append((level, mark))
-                level, mark = iter(blocks(r)), len(parts)
+                level, mark = iter(steps[r]), len(parts)
                 break
-            yield parts
+            yield Composition(tuple(parts))
         else:
             if not stack:
                 return
             level, mark = stack.pop()
 
 
-def _every_part(r: int) -> Iterable:
-    # Each part p <= r with the remainder r - p, made lazily: a table of them
-    # would hold O(n**2) blocks.
-    return zip(zip(range(1, r + 1)), reversed(range(r)))
-
-
-def _require_total(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"cannot compose a negative total: {n}")
-
-
 def all_compositions(n: int) -> Iterator[Composition]:
     """Every composition of n exactly once, in lexicographic part order.
 
     n = 0 yields only the empty composition; for n >= 1 the stream has
-    2**(n-1) elements.  A negative n is refused when the stream is made.
+    2**(n-1) elements.  A negative n, or n beyond :data:`BRUTE_FORCE_CEILING`
+    (:class:`BruteForceCeilingError`), is refused when the stream is made.
 
     >>> [str(c) for c in all_compositions(3)]
     ['1,1,1', '1,2', '2,1', '3']
     """
-    _require_total(n)
-    return (Composition(tuple(parts)) for parts in _walk(n, _every_part))
+    return _walk(n, _steps(n, _EVERY_PART))
 
 
 def _steps(n: int, constraint: ScaledConstraint | ResidueSystem) -> list[list]:
     # steps[r]: the blocks that pass the constraint and may follow a prefix
     # leaving remainder r, lexicographically, each with the remainder it leaves.
-    _require_total(n)
+    if n < 0:
+        raise ValueError(f"cannot compose a negative total: {n}")
     if n > BRUTE_FORCE_CEILING:
         raise BruteForceCeilingError(
             f"brute-force walk of 2**{n - 1} compositions refused; "
@@ -99,9 +92,10 @@ def _steps(n: int, constraint: ScaledConstraint | ResidueSystem) -> list[list]:
         # The admissible pairs that fit in r, then the final part r.
         return [[((a, b), r - a - b) for a, b in pairs if a + b <= r] + [((r,), 0)]
                 for r in range(n + 1)]
-    if isinstance(constraint, ResidueSystem):
-        # The parts in the residue classes that fit in r.
-        parts = [p for p in range(1, n + 1) if constraint.contains(p)]
+    if constraint is _EVERY_PART or isinstance(constraint, ResidueSystem):
+        # The parts in the residue classes (any part, for _EVERY_PART) that fit in r.
+        parts = [p for p in range(1, n + 1)
+                 if constraint is _EVERY_PART or constraint.contains(p)]
         return [[((p,), r - p) for p in parts if p <= r] for r in range(n + 1)]
     raise TypeError(
         f"expected ScaledConstraint or ResidueSystem, got {type(constraint).__name__}"
@@ -114,12 +108,12 @@ def arndt_compositions(n: int, cons: ScaledConstraint) -> Iterator[Composition]:
     With k != 0 this is the exploratory affine filter; there is no
     closed-form counterpart to check it against, only this stream.
     """
-    return (Composition(tuple(parts)) for parts in _walk(n, _steps(n, cons).__getitem__))
+    return _walk(n, _steps(n, cons))
 
 
 def congruence_compositions(n: int, rs: ResidueSystem) -> Iterator[Composition]:
     """The compositions of n with every part inside ``rs``, lexicographically."""
-    return (Composition(tuple(parts)) for parts in _walk(n, _steps(n, rs).__getitem__))
+    return _walk(n, _steps(n, rs))
 
 
 def count_brute(n: int, constraint: ScaledConstraint | ResidueSystem) -> int:

@@ -244,7 +244,16 @@ class TestCountBrute:
             arndt_compositions(BRUTE_FORCE_CEILING + 1, cons)
         with pytest.raises(BruteForceCeilingError, match="ceiling"):
             congruence_compositions(BRUTE_FORCE_CEILING + 1, residue_system(cons))
+        with pytest.raises(BruteForceCeilingError, match="ceiling"):
+            all_compositions(BRUTE_FORCE_CEILING + 1)
+        # The ceiling itself is still served.
+        assert next(all_compositions(BRUTE_FORCE_CEILING)) == Composition((1,) * 26)
 
     def test_rejects_other_constraint_types(self):
         with pytest.raises(TypeError):
             count_brute(5, (2, 3))
+        # all_compositions' every-part table is not reachable through None.
+        with pytest.raises(TypeError):
+            count_brute(5, None)
+        with pytest.raises(TypeError):
+            arndt_compositions(5, None)
