@@ -22,7 +22,7 @@ from math import gcd
 
 from .bijection import backward, forward
 from .core import Composition, ScaledConstraint, normalize, residue_system
-from .enumeration import arndt_compositions, congruence_compositions
+from .enumeration import _require_walkable, arndt_compositions, congruence_compositions
 # export_bfile is unused here, but bench/worker.py's traced run patches
 # arndt.cli.export_bfile, so the name stays importable from this module.
 from .sequence import export_bfile, sequence_range, write_bfile  # noqa: F401
@@ -61,6 +61,7 @@ def cmd_count(args, cons: ScaledConstraint) -> None:
 
 def cmd_enumerate(args, cons: ScaledConstraint) -> None:
     if args.congruence:
+        _require_walkable(args.n)  # before the residue system, which is O(s)
         stream = congruence_compositions(args.n, residue_system(cons))
     else:
         stream = arndt_compositions(args.n, cons)

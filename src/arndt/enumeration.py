@@ -75,9 +75,7 @@ def all_compositions(n: int) -> Iterator[Composition]:
     return _walk(n, _steps(n, _EVERY_PART))
 
 
-def _steps(n: int, constraint: ScaledConstraint | ResidueSystem) -> list[list]:
-    # steps[r]: the blocks that pass the constraint and may follow a prefix
-    # leaving remainder r, lexicographically, each with the remainder it leaves.
+def _require_walkable(n: int) -> None:
     if n < 0:
         raise ValueError(f"cannot compose a negative total: {n}")
     if n > BRUTE_FORCE_CEILING:
@@ -85,6 +83,12 @@ def _steps(n: int, constraint: ScaledConstraint | ResidueSystem) -> list[list]:
             f"brute-force walk of 2**{n - 1} compositions refused; "
             f"ceiling is n = {BRUTE_FORCE_CEILING}"
         )
+
+
+def _steps(n: int, constraint: ScaledConstraint | ResidueSystem) -> list[list]:
+    # steps[r]: the blocks that pass the constraint and may follow a prefix
+    # leaving remainder r, lexicographically, each with the remainder it leaves.
+    _require_walkable(n)
     if isinstance(constraint, ScaledConstraint):
         s, t, k = constraint.s, constraint.t, constraint.k
         pairs = [(a, b) for a in range(1, n) for b in range(1, n - a + 1)

@@ -13,6 +13,12 @@ valid for n > s+t; running it from a(0) = 1 is expanding the series,
 so both routes are the one loop in ``_terms``.  Note the m_0 = 1 term
 belongs in the sum: dropping it breaks even the Fibonacci case (1, 1).
 
+That recurrence has s+1 taps.  For s > t the residues run in blocks of
+consecutive integers, and (1 - x) times both polynomials telescopes each
+block to its ends: the same series from about 2*min(s, t) + 2 taps, as
+a(n) = 2a(n-1) - a(n-9) for (7, 1).  ``_terms`` runs the form that takes
+fewer big-number operations per steady term, the dense one on a tie.
+
 Everything is exact; counts never overflow.  B-files run the same loop
 on ``Decimal``s that trap any rounding, since printing one is linear in
 its digits where printing an int is quadratic (and capped by default).
@@ -23,8 +29,9 @@ from __future__ import annotations
 import io
 from bisect import bisect_right
 from collections.abc import Iterator
-from itertools import count, islice
+from itertools import chain, compress, islice
 from math import inf
+from operator import sub
 
 from .core import ScaledConstraint, _require_pure, _Value, residue_system
 from .enumeration import count_brute
@@ -94,6 +101,14 @@ def build_gf(cons: ScaledConstraint) -> RationalGF:
     return RationalGF(cons, tuple(num), tuple(den))
 
 
+def _steady_ops(den: tuple[int, ...]) -> int:
+    # Big-number operations per term of _run's steady loop over den: an add
+    # or subtract per tap past the copied head, and a multiply (or doubling)
+    # per coefficient but +-1 and for a head of -1.
+    e = list(filter(None, den[1:]))  # the taps, negated
+    return 2 * len(e) - 1 - e.count(1) - e.count(-1) + (e[0] == 1) if e else 0
+
+
 def _terms(gf: RationalGF, start: int = 0, seed: list | None = None) -> Iterator:
     """Coefficients start, start+1, ... of numerator/denominator, without end,
     by long division: with den[0] = 1, c_n = num_n - sum_{j>=1} den_j * c_{n-j}.
@@ -102,35 +117,61 @@ def _terms(gf: RationalGF, start: int = 0, seed: list | None = None) -> Iterator
     type, so ``Decimal`` zeros give exact ``Decimal`` terms.
     """
     num, den = gf.numerator, gf.denominator
+    window = [0] * (len(den) - 1) if seed is None else list(seed)
+    tden = tuple(map(sub, (*den, 0), (0, *den)))  # (1 - x) * den
+    if _steady_ops(tden) >= _steady_ops(den):
+        return _run(num, den, start, window)
+    tnum = tuple(map(sub, (*num, 0), (0, *num)))
+    # The telescoped taps reach m+1 terms back, one past the seed: that term
+    # is 0 below index 0, else the first term reads the seed through den.
+    if start < len(den):
+        return _run(tnum, tden, start, [0, *window])
+    return chain(islice(_run(num, den, start, window), 1), _run(tnum, tden, start + 1, window))
+
+
+def _run(num: tuple[int, ...], den: tuple[int, ...], start: int, window: list) -> Iterator:
+    # _terms' loop for one form.  window ends with the m = len(den) - 1 terms
+    # below start and gets each term before it is yielded; window[-j] is
+    # c_{n-j}: a list, whose index is O(1) where a deque's is O(j).
     m = len(den) - 1
-    # window[-j] is c_{n-j}: a list, whose index is O(1) where a deque's is
-    # O(j); trimmed back to m terms once it holds `cap`.
-    window = [0] * m if seed is None else list(seed)
     kind = type(window[-1]) if window else int
-    cap = 2 * m + 16
-    taps = [(-j, -den[j]) for j in range(1, m + 1) if den[j]]
+    cap = 2 * m + 16  # trimmed back to m terms once it holds cap
+    taps = [(-j, -den[j]) for j in compress(range(1, m + 1), den[1:])]
     reach = [-j for j, _ in taps]
     head, d0 = taps[0] if taps else (0, 1)
-    rest = taps[1:]
+    # Past the head, the +1 taps apart: a dense form adds with no per-tap
+    # test and skips the loop over the rest.
+    plus = [j for j, d in taps[1:] if d == 1]
+    rest = [(j, d) for j, d in taps[1:] if d != 1]
     # From n = steady on, num_n = 0 and every tap fires; a polynomial has
     # no taps and is all numerator.
     steady = max(len(num), m) if taps else inf
-    for n in count(start):
-        if n < steady:
-            # c_{n-j} = 0 for j > n, so a(n) reads only the taps j <= n,
-            # as the GF truncated at degree n gives the same c_0..c_n.
-            c = kind(num[n] if n < len(num) else 0)
-            live = taps[: bisect_right(reach, n)]
-        else:
-            # Start from the first tap: in CPython, 0 + x copies all of x.
-            c = window[head] if d0 == 1 else d0 * window[head]
-            live = rest
-        for j, d in live:
+    n = start
+    while n < steady:
+        # c_{n-j} = 0 for j > n, so a(n) reads only the taps j <= n,
+        # as the GF truncated at degree n gives the same c_0..c_n.
+        c = kind(num[n] if n < len(num) else 0)
+        for j, d in taps[: bisect_right(reach, n)]:
             c = c + (window[j] if d == 1 else d * window[j])
-        yield c
         window.append(c)
         if len(window) > cap:
             del window[: len(window) - m]
+        yield c
+        n += 1
+    while True:
+        # Start from the head: in CPython, 0 + x copies all of x, and on a
+        # long Decimal x + x is about three times as fast as 2 * x.
+        w = window[head]
+        c = w if d0 == 1 else w + w if d0 == 2 else d0 * w
+        for j in plus:
+            c = c + window[j]
+        if rest:
+            for j, d in rest:
+                c = c - window[j] if d == -1 else c + d * window[j]
+        window.append(c)
+        if len(window) > cap:
+            del window[: len(window) - m]
+        yield c
 
 
 def expand(gf: RationalGF, n_max: int) -> SeriesExpansion:
@@ -152,7 +193,7 @@ def count_recurrence(
     answered from it, and a miss records a(j)..a(n) there, resuming at
     j = len(cache) when j <= n and a(max(j-m, 0))..a(j-1) are cached (m
     the recurrence order), else at j = 0; so ascending calls compute each
-    term once.  Without a cache it holds s+t terms.  No internal locking:
+    term once.  Without a cache it holds s+t+1 terms.  No internal locking:
     do not share one cache between threads.
 
     >>> count_recurrence(ScaledConstraint(2, 3), 7)
@@ -211,7 +252,7 @@ def write_bfile(
     out: io.TextIOBase, cons: ScaledConstraint, n_lo: int, n_hi: int, offset: int | None = None
 ) -> None:
     """Write ``export_bfile``'s text to ``out`` as the terms come, one
-    chunk of lines per write, holding s+t terms and one chunk.
+    chunk of lines per write, holding s+t+1 terms and one chunk.
 
     The terms are exact ``Decimal``s, computed in a context entered around
     each chunk's arithmetic only: the caller and ``out.write`` never see it.

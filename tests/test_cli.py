@@ -117,6 +117,22 @@ class TestEnumerate:
         assert (code, out) == (1, "")
         assert "ceiling" in err
 
+    @pytest.mark.parametrize(
+        "n,message",
+        [
+            ("27", "brute-force walk of 2**26 compositions refused; ceiling is n = 26"),
+            ("-1", "cannot compose a negative total: -1"),
+        ],
+        ids=["ceiling", "negative"],
+    )
+    def test_congruence_refuses_before_building_the_residues(self, capsys, n, message):
+        # The residue system of s = 10**6 takes about 0.4 s of CPU to build;
+        # a total the walk refuses is refused first.
+        started = time.process_time()
+        code, out, err = run(capsys, "enumerate", "--congruence", "-s", "1000000", "-t", "1", "-n", n)
+        assert time.process_time() - started < 0.05
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_lines(self, capsys):
         code, out, _ = run(capsys, "enumerate", "-s", "2", "-t", "3", "-n", "6")
         assert (code, out) == (0, ARNDT_LINES)

@@ -144,6 +144,111 @@ class TestTermStream:
         assert time.process_time() - started < 2.0
 
 
+@pytest.fixture
+def forms(monkeypatch):
+    """The denominators that _terms hands to its loop, in order."""
+    dens, run = [], arndt.sequence._run
+
+    def recorded(num, den, *rest):
+        dens.append(den)
+        return run(num, den, *rest)
+
+    monkeypatch.setattr(arndt.sequence, "_run", recorded)
+    return dens
+
+
+def _runs_telescoped(forms, pair):
+    # Whether _terms runs the (1 - x)-telescoped denominator, one
+    # coefficient longer than build_gf's.
+    gf = build_gf(ScaledConstraint(*pair))
+    forms.clear()
+    arndt.sequence._terms(gf)
+    return any(len(den) == len(gf.denominator) + 1 for den in forms)
+
+
+# Pairs past the grid, by the largest n whose reference values stay cheap:
+# the reference spends O(s) on every term.
+LARGE_S = {
+    (1000, 1): 3000, (1000, 7): 3000, (7, 1000): 3000, (999, 1000): 2200, (10**4, 3): 200,
+}
+
+
+class TestTelescopedForm:
+    def test_the_cheaper_form_runs(self, forms):
+        # Six grid pairs need fewer operations per term telescoped; the
+        # rest, and every s <= t, keep the dense form, ties included.
+        telescoped = {pair for pair in coprime_pairs(8) if _runs_telescoped(forms, pair)}
+        assert telescoped == {(3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (5, 2)}
+        telescoped = {pair for pair in LARGE_S if _runs_telescoped(forms, pair)}
+        assert telescoped == {(1000, 1), (1000, 7), (10**4, 3)}
+
+    def test_seven_one_doubles_and_subtracts(self, forms):
+        # (1 - x)(1 - x - ... - x^8) = 1 - 2x + x^9: a(n) = 2a(n-1) - a(n-9).
+        assert _runs_telescoped(forms, (7, 1))
+        assert forms[-1] == (1, -2) + (0,) * 7 + (1,)
+
+    def test_grid_agrees_with_the_reference(self):
+        # Every coprime pair with s + t <= 16, across the first numerator-free
+        # terms and the window's trimming, on ints and on exact Decimals.
+        for s, t in coprime_pairs(16):
+            cons, n_max = ScaledConstraint(s, t), 3 * (s + t) + 50
+            want = congruence_counts(s, t, n_max)
+            assert expand(build_gf(cons), n_max).coefficients == tuple(want), (s, t)
+            lines = "".join(f"{n} {v}\n" for n, v in enumerate(want))
+            assert export_bfile(cons, 0, n_max) == lines, (s, t)
+
+    @pytest.mark.parametrize("pair,n_max", sorted(LARGE_S.items()))
+    def test_large_s_agrees_with_the_reference(self, pair, n_max):
+        cons, want = ScaledConstraint(*pair), congruence_counts(*pair, n_max)
+        assert expand(build_gf(cons), n_max).coefficients == tuple(want)
+        assert export_bfile(cons, 0, n_max) == "".join(f"{n} {v}\n" for n, v in enumerate(want))
+
+    def test_huge_s_far_terms_keep_the_recurrence(self):
+        # Past index s + t + 2 every telescoped tap of (10**4, 3) fires; the
+        # terms there must still satisfy the dense recurrence, with the
+        # residues recomputed by the reference.
+        s, t = 10**4, 3
+        m, residues = s + t, residue_list(s, t)
+        a = sequence_range(ScaledConstraint(s, t), 40, m + 45)  # a[i] = a(40 + i)
+        for i in range(m, m + 6):
+            assert a[i] == sum(a[i - r] for r in residues) + a[i - m]
+
+    def test_seeded_starts_resume_on_either_form(self):
+        # The seed holds s+t terms, one short of the telescoped taps' reach,
+        # so a seeded stream takes its first term from the dense taps.
+        for pair in [(7, 1), (3, 1), (5, 2), (1000, 7)]:
+            gf, m = build_gf(ScaledConstraint(*pair)), sum(pair)
+            full = list(islice(arndt.sequence._terms(gf), 3 * m + 20))
+            with localcontext(arndt.sequence._exact_context()):
+                for start in (m, m + 1, m + 2):
+                    for kind in (int, Decimal):
+                        seed = [kind(v) for v in full[start - m : start]]
+                        got = list(islice(arndt.sequence._terms(gf, start, seed), m + 20))
+                        assert got == full[start : start + m + 20], (pair, start, kind)
+                        assert {type(v) for v in got} == {kind}
+
+    @pytest.mark.parametrize("pair,n_max", [((7, 1), 300), ((1000, 7), 2500)])
+    def test_ascending_cache_matches_the_uncached_stream(self, pair, n_max):
+        # Misses resume from the cache every few terms, around index s + t
+        # at every step.
+        cons, m = ScaledConstraint(*pair), sum(pair)
+        want = expand(build_gf(cons), n_max).coefficients
+        ns = sorted(set(range(0, n_max + 1, 7)) | set(range(m - 3, m + 4)) | {n_max})
+        cache: dict[int, int] = {}
+        assert [count_recurrence(cons, n, cache) for n in ns] == [want[n] for n in ns]
+        assert cache == dict(enumerate(want))
+
+    def test_huge_s_term_costs_a_few_operations(self):
+        # (10**4, 3) telescopes from 10**4 + 1 taps to 6; a(20000) took about
+        # 123 s of CPU on the dense form and takes about 0.13 s (Intel Xeon
+        # vCPU, Python 3.11).  The b-file's Decimal stream must agree.
+        cons = ScaledConstraint(10**4, 3)
+        started = time.process_time()
+        value = count_recurrence(cons, 20000)
+        assert time.process_time() - started < 2.0
+        assert Decimal(export_bfile(cons, 20000, 20000).split()[1]) == value
+
+
 class TestCountRecurrence:
     def test_listed_values(self):
         assert count_recurrence(ScaledConstraint(2, 3), 7) == 11
