@@ -10,7 +10,7 @@ whose denominator yields the recurrence
     a(n) = a(n - m_0) + ... + a(n - m_{s-1}) + a(n - s - t)
 
 valid for n > s+t; running it from a(0) = 1 is expanding the series,
-so both routes are the one loop in ``_terms``.  Note the m_0 = 1 term
+so both routes are the one loop in ``_run``.  Note the m_0 = 1 term
 belongs in the sum: dropping it breaks even the Fibonacci case (1, 1).
 
 That recurrence has s+1 taps.  For s > t the residues run in blocks of
@@ -29,7 +29,7 @@ from __future__ import annotations
 import io
 from bisect import bisect_right
 from collections.abc import Iterator
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from math import inf
 from operator import sub
 
@@ -112,21 +112,18 @@ def _steady_ops(den: tuple[int, ...]) -> int:
 def _terms(gf: RationalGF, start: int = 0, seed: list | None = None) -> Iterator:
     """Coefficients start, start+1, ... of numerator/denominator, without end,
     by long division: with den[0] = 1, c_n = num_n - sum_{j>=1} den_j * c_{n-j}.
-    ``seed`` is c_{start-m}..c_{start-1} for m = deg(den), with c_i = 0 for
-    i < 0; it defaults to m int zeros.  The terms take the seed's number
-    type, so ``Decimal`` zeros give exact ``Decimal`` terms.
+    ``seed`` is c_{start-m-1}..c_{start-1} for m = deg(den), with c_i = 0
+    for i < 0: the m+1 terms that the telescoped taps reach, so either form
+    resumes from it.  It defaults to m+1 int zeros.  The terms take the
+    seed's number type, so ``Decimal`` zeros give exact ``Decimal`` terms.
     """
     num, den = gf.numerator, gf.denominator
-    window = [0] * (len(den) - 1) if seed is None else list(seed)
+    window = [0] * len(den) if seed is None else list(seed)
     tden = tuple(map(sub, (*den, 0), (0, *den)))  # (1 - x) * den
     if _steady_ops(tden) >= _steady_ops(den):
         return _run(num, den, start, window)
     tnum = tuple(map(sub, (*num, 0), (0, *num)))
-    # The telescoped taps reach m+1 terms back, one past the seed: that term
-    # is 0 below index 0, else the first term reads the seed through den.
-    if start < len(den):
-        return _run(tnum, tden, start, [0, *window])
-    return chain(islice(_run(num, den, start, window), 1), _run(tnum, tden, start + 1, window))
+    return _run(tnum, tden, start, window)
 
 
 def _run(num: tuple[int, ...], den: tuple[int, ...], start: int, window: list) -> Iterator:
@@ -134,8 +131,8 @@ def _run(num: tuple[int, ...], den: tuple[int, ...], start: int, window: list) -
     # below start and gets each term before it is yielded; window[-j] is
     # c_{n-j}: a list, whose index is O(1) where a deque's is O(j).
     m = len(den) - 1
-    kind = type(window[-1]) if window else int
-    cap = 2 * m + 16  # trimmed back to m terms once it holds cap
+    kind = type(window[-1])
+    cap = 2 * m + 16  # trimmed back to m terms once it holds more
     taps = [(-j, -den[j]) for j in compress(range(1, m + 1), den[1:])]
     reach = [-j for j, _ in taps]
     head, d0 = taps[0] if taps else (0, 1)
@@ -191,10 +188,11 @@ def count_recurrence(
 
     ``cache`` maps index -> count and is owned by the caller; a hit is
     answered from it, and a miss records a(j)..a(n) there, resuming at
-    j = len(cache) when j <= n and a(max(j-m, 0))..a(j-1) are cached (m
-    the recurrence order), else at j = 0; so ascending calls compute each
-    term once.  Without a cache it holds s+t+1 terms.  No internal locking:
-    do not share one cache between threads.
+    j = len(cache) when j <= n and a(max(j-s-t-1, 0))..a(j-1) are cached,
+    else at j = 0; so ascending calls compute each term once.  Without a
+    cache it holds at most 2(s+t)+19 terms, a window trimmed back to s+t+1
+    or fewer each time it fills.  No internal locking: do not share one
+    cache between threads.
 
     >>> count_recurrence(ScaledConstraint(2, 3), 7)
     11
@@ -206,10 +204,10 @@ def count_recurrence(
         return next(islice(_terms(build_gf(cons)), n, None))
     if n not in cache:
         gf = build_gf(cons)
-        j, m = len(cache), len(gf.denominator) - 1
-        if j > n or any(i not in cache for i in range(max(j - m, 0), j)):
+        j, w = len(cache), len(gf.denominator)  # w = s+t+1 seed terms
+        if j > n or any(i not in cache for i in range(max(j - w, 0), j)):
             j = 0
-        seed = [cache[i] if i >= 0 else 0 for i in range(j - m, j)]
+        seed = [cache[i] if i >= 0 else 0 for i in range(j - w, j)]
         cache.update(zip(range(j, n + 1), _terms(gf, j, seed)))
     return cache[n]
 
@@ -252,7 +250,8 @@ def write_bfile(
     out: io.TextIOBase, cons: ScaledConstraint, n_lo: int, n_hi: int, offset: int | None = None
 ) -> None:
     """Write ``export_bfile``'s text to ``out`` as the terms come, one
-    chunk of lines per write, holding s+t+1 terms and one chunk.
+    chunk of lines per write, holding at most 2(s+t)+19 terms and one
+    chunk.
 
     The terms are exact ``Decimal``s, computed in a context entered around
     each chunk's arithmetic only: the caller and ``out.write`` never see it.
@@ -262,7 +261,7 @@ def write_bfile(
     _check_range(n_lo, n_hi)
     gf = build_gf(cons)
     exact = _exact_context()
-    terms = islice(_terms(gf, 0, [Decimal(0)] * (len(gf.denominator) - 1)), n_lo, n_hi + 1)
+    terms = islice(_terms(gf, 0, [Decimal(0)] * len(gf.denominator)), n_lo, n_hi + 1)
     first = n_lo if offset is None else offset
     for lo in range(first, first + n_hi - n_lo + 1, _BFILE_CHUNK):
         with localcontext(exact):

@@ -117,7 +117,7 @@ class TestExpand:
 
 class TestTermStream:
     def test_resumes_from_every_start(self):
-        # From each start up to 2m, seeded with the m terms below it (zeros
+        # From each start up to 2m, seeded with the m+1 terms below it (zeros
         # below index 0), the stream goes on as the full one does: across
         # the last numerator term and the first tap-only term, on ints and
         # on exact Decimals.
@@ -125,10 +125,10 @@ class TestTermStream:
             gf = build_gf(ScaledConstraint(s, t))
             m = s + t
             full = list(islice(arndt.sequence._terms(gf), 3 * m + 20))
-            padded = [0] * m + full
+            padded = [0] * (m + 1) + full
             with localcontext(arndt.sequence._exact_context()):
                 for start in range(2 * m + 1):
-                    seed = padded[start : start + m]
+                    seed = padded[start : start + m + 1]
                     want = full[start : start + m + 20]
                     for kind in (int, Decimal):
                         stream = arndt.sequence._terms(gf, start, [kind(v) for v in seed])
@@ -137,11 +137,17 @@ class TestTermStream:
                         assert {type(v) for v in got} == {kind}
 
     def test_huge_s_reads_only_the_taps_up_to_n(self):
-        # s + t = 100001 taps, but a(n) for n <= 50 reads at most 50 of them:
-        # about 0.1 s, where reading every tap of every term took 7.6 s.
-        started = time.process_time()
-        assert count_recurrence(ScaledConstraint(10**5, 1), 50) == 2**49
-        assert time.process_time() - started < 2.0
+        # (10**5, 1) has s + t = 100001 dense taps, but a(n) for n <= 50
+        # reads at most 50 of them: about 0.1 s, where reading every tap of
+        # every term took 7.6 s.  It runs telescoped, on 4 taps, so the
+        # dense (10**5, 10**5 + 1) keeps the truncation tested: its residues
+        # are the odd numbers below 2 * 10**5 + 1, so a(n) counts
+        # compositions into odd parts, fib(n); about 0.3 s, where reading
+        # all 10**5 taps of every term took about 21 s.
+        for pair, n, want in [((10**5, 1), 50, 2**49), ((10**5, 10**5 + 1), 2000, fib(2000))]:
+            started = time.process_time()
+            assert count_recurrence(ScaledConstraint(*pair), n) == want
+            assert time.process_time() - started < 2.0, pair
 
 
 @pytest.fixture
@@ -214,18 +220,37 @@ class TestTelescopedForm:
             assert a[i] == sum(a[i - r] for r in residues) + a[i - m]
 
     def test_seeded_starts_resume_on_either_form(self):
-        # The seed holds s+t terms, one short of the telescoped taps' reach,
-        # so a seeded stream takes its first term from the dense taps.
+        # The seed holds the s+t+1 terms the telescoped taps reach, so a
+        # seeded stream runs one form from its first term, at every start.
+        # From s+t to s+t+2 the stream goes on past the window's first trim;
+        # elsewhere 20 terms keep (1000, 7) to about a second.
         for pair in [(7, 1), (3, 1), (5, 2), (1000, 7)]:
             gf, m = build_gf(ScaledConstraint(*pair)), sum(pair)
             full = list(islice(arndt.sequence._terms(gf), 3 * m + 20))
             with localcontext(arndt.sequence._exact_context()):
-                for start in (m, m + 1, m + 2):
-                    for kind in (int, Decimal):
-                        seed = [kind(v) for v in full[start - m : start]]
-                        got = list(islice(arndt.sequence._terms(gf, start, seed), m + 20))
-                        assert got == full[start : start + m + 20], (pair, start, kind)
+                for kind in (int, Decimal):
+                    padded = [kind(v) for v in [0] * (m + 1) + full]
+                    for start in range(2 * m + 1):
+                        seed = padded[start : start + m + 1]
+                        drawn = m + 20 if m <= start <= m + 2 else 20
+                        got = list(islice(arndt.sequence._terms(gf, start, seed), drawn))
+                        want = padded[start + m + 1 : start + m + 1 + drawn]
+                        assert got == want, (pair, start, kind)
                         assert {type(v) for v in got} == {kind}
+
+    @pytest.mark.parametrize("pair", [(7, 1), (1000, 7)])
+    def test_every_miss_runs_the_telescoped_form_alone(self, forms, pair):
+        # A miss that resumes past s + t seeds the s+t+1 terms that the
+        # telescoped taps reach, so it hands _run that one denominator, as
+        # a miss from a(0) does: no dense first term before it.
+        cons, m = ScaledConstraint(*pair), sum(pair)
+        den = build_gf(cons).denominator
+        telescoped = tuple(d - e for d, e in zip((*den, 0), (0, *den)))
+        cache: dict[int, int] = {}
+        for n in sorted(set(range(0, m, 7)) | set(range(m - 3, m + 30))):
+            forms.clear()
+            count_recurrence(cons, n, cache)
+            assert forms == [telescoped], (pair, n)
 
     @pytest.mark.parametrize("pair,n_max", [((7, 1), 300), ((1000, 7), 2500)])
     def test_ascending_cache_matches_the_uncached_stream(self, pair, n_max):
@@ -313,14 +338,17 @@ class TestCountRecurrence:
         assert drawn == 501
 
     def test_resumes_only_from_a_whole_window(self):
-        # The cache holds twelve terms, but a(9), one of the five below
-        # index 12, is missing, so the miss at 30 walks from a(0).
-        cons = ScaledConstraint(2, 3)
-        walked = expand(build_gf(cons), 40).coefficients
-        cache = {i: walked[i] for i in range(12) if i != 9}
-        cache[40] = walked[40]
-        assert count_recurrence(cons, 30, cache) == walked[30]
-        assert all(cache[i] == walked[i] for i in cache)
+        # At (2, 3) the cache holds twelve terms, but a(9), one of the six
+        # below index 12, is missing, so the miss at 30 walks from a(0).
+        # At (7, 1) it holds twenty but not a(11), the first of the nine
+        # below index 20, which only a check of all s+t+1 of them sees.
+        for pair, j, missing in [((2, 3), 12, 9), ((7, 1), 20, 11)]:
+            cons = ScaledConstraint(*pair)
+            walked = expand(build_gf(cons), 40).coefficients
+            cache = {i: walked[i] for i in range(j) if i != missing}
+            cache[40] = walked[40]
+            assert count_recurrence(cons, 30, cache) == walked[30], pair
+            assert all(cache[i] == walked[i] for i in cache), pair
 
     def test_without_a_cache_holds_a_window_not_every_term(self):
         # a(20000) of (1, 1) has 4180 digits, and the 20001 terms below it
