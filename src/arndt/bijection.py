@@ -20,10 +20,12 @@ trailing run of ones with no anchor maps to the single part c.  Parts
 equal to 1 are never anchors, even though 1 itself is an admissible
 residue; anchors with residue 1 are exactly the parts 1 + q*(s+t), q >= 1.
 
-Both directions validate their input and are defined only for k = 0.
+Both directions check their input, build valid output unchecked, and need k = 0.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, islice
 
 from .core import Composition, ScaledConstraint, _rank, _require_pure, _Value
 
@@ -65,10 +67,10 @@ class OnesBlock(_Value):
         super().__init__(ones, anchor)
 
 
-def _pair_to_block(a: int, b: int, s: int, modulus: int) -> tuple[int, int]:
-    # (ones, anchor); ones < 0 exactly when s*a <= t*b.
-    anchor = 1 + b * modulus // s
-    return a + b - anchor, anchor
+def _pair_blocks(parts, s: int, modulus: int) -> tuple[list[int], list[int]]:
+    # Block sizes 1 + ones (below 1 exactly when s*a <= t*b) and anchors of parts' pairs (a, b).
+    anchors = [1 + b * modulus // s for b in parts[1::2]]
+    return [a + b + 1 - anchor for a, b, anchor in zip(parts[0::2], parts[1::2], anchors)], anchors
 
 
 def map_pair(p: ArndtPair, cons: ScaledConstraint) -> OnesBlock:
@@ -80,10 +82,10 @@ def map_pair(p: ArndtPair, cons: ScaledConstraint) -> OnesBlock:
     _require_pure(cons)
     if p.b < 1:
         raise ValueError("map_pair needs a complete pair (b >= 1)")
-    ones, anchor = _pair_to_block(p.a, p.b, cons.s, cons.s + cons.t)
-    if ones < 0:
+    (size,), (anchor,) = _pair_blocks((p.a, p.b), cons.s, cons.s + cons.t)
+    if size < 1:
         raise ValueError(f"pair ({p.a}, {p.b}) violates {cons.s}*a > {cons.t}*b")
-    return OnesBlock(ones, anchor)
+    return OnesBlock(size - 1, anchor)
 
 
 def unmap_block(blk: OnesBlock, cons: ScaledConstraint) -> ArndtPair | int:
@@ -112,26 +114,22 @@ def forward(c: Composition, cons: ScaledConstraint) -> Composition:
     '1,1,3,1'
     """
     _require_pure(cons)
-    s, modulus, limit = cons.s, cons.s + cons.t, MAX_IMAGE_PARTS
-    parts = c.parts
-    out: list[int] = []
-    it = iter(parts)
-    for a, b in zip(it, it):
-        ones, anchor = _pair_to_block(a, b, s, modulus)
-        if ones < 0:
+    parts, limit = c.parts, MAX_IMAGE_PARTS
+    sizes, anchors = _pair_blocks(parts, cons.s, cons.s + cons.t)
+    size = sum(sizes) + (parts[-1] if len(parts) % 2 else 0)
+    if min(sizes, default=1) < 1:  # the limit wins if the pairs before the violation pass it
+        size = sum(sizes[: next(i for i, n in enumerate(sizes) if n < 1)])
+        if size <= limit:
             raise ValueError(
                 f"({','.join(map(str, parts))}) violates "
                 f"{cons.s}*a > {cons.t}*b on some pair"
             )
-        if len(out) + ones >= limit:
-            raise ValueError(f"image exceeds MAX_IMAGE_PARTS = {limit} parts")
-        out += [1] * ones
-        out.append(anchor)
-    tail = parts[-1] if len(parts) % 2 else 0
-    if len(out) + tail > limit:
+    if size > limit:
         raise ValueError(f"image exceeds MAX_IMAGE_PARTS = {limit} parts")
-    out += [1] * tail
-    return Composition(tuple(out))
+    out = [1] * size
+    for i, anchor in zip(islice(accumulate(sizes, initial=-1), 1, None), anchors):
+        out[i] = anchor
+    return Composition._from_checked(tuple(out))
 
 
 def backward(c: Composition, cons: ScaledConstraint) -> Composition:
@@ -143,8 +141,7 @@ def backward(c: Composition, cons: ScaledConstraint) -> Composition:
     """
     _require_pure(cons)
     s, modulus = cons.s, cons.s + cons.t
-    out: list[int] = []
-    ones = 0
+    out, ones = [], 0
     for p in c.parts:
         if p == 1:
             ones += 1
@@ -154,4 +151,4 @@ def backward(c: Composition, cons: ScaledConstraint) -> Composition:
             ones = 0
     if ones:
         out.append(ones)
-    return Composition(tuple(out))
+    return Composition._from_checked(tuple(out))

@@ -16,6 +16,8 @@ classes.
 All arithmetic is exact integer arithmetic.  Every type here is an
 immutable value (a ``__slots__`` class on ``_Value``, cheap to import)
 and every function is pure, so unrestricted concurrent use is safe.
+The compositions the library derives from checked ones (bijection results,
+stream items) skip the part check through ``Composition._from_checked``.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ class Composition(_Value):
     (6, 3, '4,1,1')
 
     The empty composition ``Composition(())`` is the one composition of 0.
+    Only the library's private ``_from_checked`` skips the parts' check.
     """
 
     __slots__ = __match_args__ = ("parts",)
@@ -96,6 +99,15 @@ class Composition(_Value):
         if countOf(map(type, parts), int) != len(parts) or parts and min(parts) < 1:
             raise ValueError(f"parts must be positive integers: {parts!r}")
         object.__setattr__(self, "parts", parts)  # not super().__init__: a hot path
+
+    @classmethod
+    def _from_checked(cls, parts: tuple[int, ...]) -> "Composition":
+        """Unchecked, for parts that are exact ints >= 1 by construction: forward's input
+        parts, 1s and anchors 1 + b*(s+t)//s >= 2; backward's a = ones + p - b >= 1, b >= 1
+        and trailing run >= 1; _walk's range ints from the table of enumeration._steps."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "parts", parts)
+        return self
 
     @property
     def total(self) -> int:

@@ -44,9 +44,9 @@ _EVERY_PART = object()
 
 
 def _walk(n: int, steps: list[list]) -> Iterator[Composition]:
-    # Depth first through a table from _steps, reading row r after a prefix
-    # leaving remainder r; each prefix leaving 0 is yielded as a Composition.
-    parts, stack = [], []
+    # Depth first through a table from _steps, reading row r after a prefix leaving
+    # remainder r; each prefix leaving 0 is yielded unchecked: its parts are range ints.
+    parts, stack, composition = [], [], Composition._from_checked
     level, mark = iter((((), n),)), 0  # the root: one empty block leaving n
     while True:
         for block, r in level:
@@ -55,7 +55,7 @@ def _walk(n: int, steps: list[list]) -> Iterator[Composition]:
                 stack.append((level, mark))
                 level, mark = iter(steps[r]), len(parts)
                 break
-            yield Composition(tuple(parts))
+            yield composition(tuple(parts))
         else:
             if not stack:
                 return

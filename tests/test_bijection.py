@@ -18,7 +18,7 @@ from arndt.bijection import (
     unmap_block,
 )
 from arndt.core import Composition, ScaledConstraint, residue_system, satisfies
-from arndt.enumeration import arndt_compositions, congruence_compositions
+from arndt.enumeration import all_compositions, arndt_compositions, congruence_compositions
 
 from _reference import coprime_pairs, forward_image
 
@@ -32,6 +32,13 @@ BIJECTION_PAIRS_N6 = [
     ((2, 1, 3), (3, 1, 1, 1)),
     ((2, 1, 2, 1), (3, 3)),
 ]
+
+
+def assert_checked(c):
+    # The library builds these results without the public constructor's
+    # check; they must pass it all the same.
+    assert Composition(c.parts) == c
+    assert all(type(p) is int and p >= 1 for p in c.parts)
 
 
 class TestPairTypes:
@@ -153,6 +160,27 @@ class TestForward:
             with pytest.raises(ValueError, match="MAX_IMAGE_PARTS = 4 "):
                 forward(Composition(over), cons)
 
+    def test_limit_before_a_violating_pair_wins(self, monkeypatch):
+        # (6, 1) alone makes 5 parts under (1, 1); (1, 2) then violates.
+        monkeypatch.setattr(bijection, "MAX_IMAGE_PARTS", 4)
+        with pytest.raises(ValueError, match=r"^image exceeds MAX_IMAGE_PARTS = 4 parts$"):
+            forward(Composition((6, 1, 1, 2)), ScaledConstraint(1, 1))
+
+    def test_violation_before_the_limit_wins(self, monkeypatch):
+        # (3, 1) makes 3 parts, within the limit; (1, 2) violates before
+        # (9, 1) would pass the limit.
+        monkeypatch.setattr(bijection, "MAX_IMAGE_PARTS", 4)
+        message = r"^\(3,1,1,2,9,1\) violates 1\*a > 1\*b on some pair$"
+        with pytest.raises(ValueError, match=message):
+            forward(Composition((3, 1, 1, 2, 9, 1)), ScaledConstraint(1, 1))
+
+    @pytest.mark.parametrize("parts", [(9,), (2, 1, 9)])
+    def test_trailing_part_alone_passes_the_limit(self, monkeypatch, parts):
+        # The pair (2, 1) fits in 2 parts; the trailing 9 alone is over 4.
+        monkeypatch.setattr(bijection, "MAX_IMAGE_PARTS", 4)
+        with pytest.raises(ValueError, match=r"^image exceeds MAX_IMAGE_PARTS = 4 parts$"):
+            forward(Composition(parts), ScaledConstraint(1, 1))
+
     @pytest.mark.parametrize("big", [99999999999999999999, 10**18])
     @pytest.mark.parametrize("shape", ["pair", "trailing"])
     def test_refuses_a_huge_image_before_allocating(self, big, shape):
@@ -218,10 +246,21 @@ class TestBijectionExhaustive:
                 assert img.total == n
                 assert all(rs.contains(p) for p in img.parts)
                 assert backward(img, cons) == c
+                assert_checked(c)
+                assert_checked(img)
+                assert_checked(backward(img, cons))
             targets = list(congruence_compositions(n, rs))
             assert sorted(i.parts for i in images) == [c.parts for c in targets]
             for d in targets:
                 assert forward(backward(d, cons), cons) == d
+                assert_checked(d)
+                assert_checked(backward(d, cons))
+                assert_checked(forward(backward(d, cons), cons))
+
+    def test_all_compositions_pass_the_public_check(self):
+        for n in range(0, self.N_MAX + 1):
+            for c in all_compositions(n):
+                assert_checked(c)
 
 
 @st.composite
@@ -255,3 +294,29 @@ class TestBijectionLongInputs:
         image = forward(Composition(parts), cons)
         assert image.parts == forward_image(parts, s, t)
         assert backward(image, cons).parts == parts
+        assert_checked(image)
+        assert_checked(backward(image, cons))
+
+    @settings(deadline=None)
+    @given(long_arndt_compositions())
+    def test_block_maps_reproduce_forward_and_backward(self, case):
+        # map_pair and unmap_block, applied block by block, give forward's
+        # image and backward's result: the primitives share their arithmetic.
+        (s, t), parts = case
+        cons = ScaledConstraint(s, t)
+        blocks = [map_pair(ArndtPair(a, b), cons) for a, b in zip(parts[::2], parts[1::2])]
+        if len(parts) % 2:
+            blocks.append(OnesBlock(parts[-1]))
+        image: list[int] = []
+        back: list[int] = []
+        for blk in blocks:
+            image += [1] * blk.ones
+            pre = unmap_block(blk, cons)
+            if blk.anchor is None:
+                back.append(pre)
+            else:
+                image.append(blk.anchor)
+                back += (pre.a, pre.b)
+        mapped = forward(Composition(parts), cons)
+        assert mapped.parts == tuple(image)
+        assert backward(mapped, cons).parts == tuple(back)
