@@ -143,14 +143,16 @@ class Composition(_Value):
 class ScaledConstraint(_Value):
     """Coprime scaling pair (s, t) with affine offset k (default 0).
 
-    The constructor insists on coprime s and t; use :func:`normalize` to
-    reduce an arbitrary pair.  k != 0 selects the exploratory affine
-    condition, for which only brute-force enumeration is available.
+    The constructor insists on fields of exact type int and on coprime s
+    and t; use :func:`normalize` to reduce an arbitrary pair.  k != 0 selects
+    the exploratory affine condition, with only brute-force enumeration.
     """
 
     __slots__ = __match_args__ = ("s", "t", "k")
 
     def __init__(self, s: int, t: int, k: int = 0) -> None:
+        if {type(s), type(t), type(k)} != {int}:  # exact ints: no bool, float or numpy
+            raise ValueError(f"s, t and k must be ints, got ({s!r}, {t!r}, {k!r})")
         if s < 1 or t < 1:
             raise ValueError(f"s and t must be positive, got ({s}, {t})")
         if gcd(s, t) != 1:
@@ -179,15 +181,6 @@ def normalize(s: int, t: int, k: int = 0) -> ScaledConstraint:
     return ScaledConstraint(s // g, t // g, k)
 
 
-def _satisfies_parts(parts, s: int, t: int, k: int) -> bool:
-    # Pairs are (parts[0], parts[1]), (parts[2], parts[3]), ...; a final
-    # unpaired part imposes nothing, hence the len-1 bound.
-    for i in range(0, len(parts) - 1, 2):
-        if s * parts[i] <= t * parts[i + 1] + k:
-            return False
-    return True
-
-
 def satisfies(c: Composition, cons: ScaledConstraint) -> bool:
     """True iff every part pair of ``c`` meets s*a > t*b + k.
 
@@ -198,7 +191,10 @@ def satisfies(c: Composition, cons: ScaledConstraint) -> bool:
     >>> satisfies(Composition((3, 2, 1)), ScaledConstraint(2, 3))
     False
     """
-    return _satisfies_parts(c.parts, cons.s, cons.t, cons.k)
+    # Pairs are (parts[0], parts[1]), (parts[2], parts[3]), ...; a final
+    # unpaired part imposes nothing, hence the len-1 bound.
+    p, s, t, k = c.parts, cons.s, cons.t, cons.k
+    return all(s * p[i] > t * p[i + 1] + k for i in range(0, len(p) - 1, 2))
 
 
 def _rank(part: int, s: int, modulus: int) -> int:

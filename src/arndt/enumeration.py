@@ -2,9 +2,10 @@
 
 The generators here are the independent ground truth for everything the
 recurrence and bijection machinery claims.  They walk the compositions of n
-depth first in lexicographic part order, growing only admissible prefixes:
-the predicate is evaluated directly on each block added (a part pair or the
-free final part on the Arndt side, one part on the congruence side).  Every
+depth first in lexicographic part order, growing only admissible prefixes
+from a table of the blocks that pass: on the Arndt side the part pairs (a, b)
+with b <= (s*a - k - 1) // t, solved for b instead of tested, and the free
+final part; on the congruence side the parts in the residue classes.  Every
 admissible prefix finishes in a match and the full set is never held: a stream
 pays amortized O(n) per composition emitted, ``count_brute`` builds none and
 pays O(1) per admissible prefix that leaves a positive remainder.
@@ -16,8 +17,9 @@ Streams are single-consumer iterators; counting functions are pure.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import index
 
-from .core import Composition, ResidueSystem, ScaledConstraint, _satisfies_parts
+from .core import Composition, ResidueSystem, ScaledConstraint
 
 __all__ = [
     "BRUTE_FORCE_CEILING",
@@ -36,11 +38,6 @@ BRUTE_FORCE_CEILING = 26
 
 class BruteForceCeilingError(ValueError):
     """Raised when a brute-force count or stream would pass the documented ceiling."""
-
-
-# all_compositions' constraint for _steps: every part passes.  Private, so
-# every public caller still has to pass a real constraint.
-_EVERY_PART = object()
 
 
 def _walk(n: int, steps: list[list]) -> Iterator[Composition]:
@@ -72,7 +69,9 @@ def all_compositions(n: int) -> Iterator[Composition]:
     >>> [str(c) for c in all_compositions(3)]
     ['1,1,1', '1,2', '2,1', '3']
     """
-    return _walk(n, _steps(n, _EVERY_PART))
+    # Every pair (a, b) of a composition of n has b < n, so a > b - n: k = -n admits
+    # them all.  index() refuses a non-int n with TypeError, as range() does elsewhere.
+    return _walk(n, _steps(n, ScaledConstraint(1, 1, -index(n))))
 
 
 def _require_walkable(n: int) -> None:
@@ -91,15 +90,15 @@ def _steps(n: int, constraint: ScaledConstraint | ResidueSystem) -> list[list]:
     _require_walkable(n)
     if isinstance(constraint, ScaledConstraint):
         s, t, k = constraint.s, constraint.t, constraint.k
-        pairs = [(a, b) for a in range(1, n) for b in range(1, n - a + 1)
-                 if _satisfies_parts((a, b), s, t, k)]
+        # s*a > t*b + k iff b <= (s*a - k - 1) // t, floored for every sign of k.
+        pairs = [(a, b) for a in range(1, n)
+                 for b in range(1, min(n - a, (s * a - k - 1) // t) + 1)]
         # The admissible pairs that fit in r, then the final part r.
         return [[((a, b), r - a - b) for a, b in pairs if a + b <= r] + [((r,), 0)]
                 for r in range(n + 1)]
-    if constraint is _EVERY_PART or isinstance(constraint, ResidueSystem):
-        # The parts in the residue classes (any part, for _EVERY_PART) that fit in r.
-        parts = [p for p in range(1, n + 1)
-                 if constraint is _EVERY_PART or constraint.contains(p)]
+    if isinstance(constraint, ResidueSystem):
+        # The parts in the residue classes that fit in r.
+        parts = [p for p in range(1, n + 1) if constraint.contains(p)]
         return [[((p,), r - p) for p in parts if p <= r] for r in range(n + 1)]
     raise TypeError(
         f"expected ScaledConstraint or ResidueSystem, got {type(constraint).__name__}"

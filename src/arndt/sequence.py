@@ -13,11 +13,11 @@ valid for n > s+t; running it from a(0) = 1 is expanding the series,
 so both routes are the one loop in ``_run``.  Note the m_0 = 1 term
 belongs in the sum: dropping it breaks even the Fibonacci case (1, 1).
 
-That recurrence has s+1 taps.  For s > t the residues run in blocks of
-consecutive integers, and (1 - x) times both polynomials telescopes each
-block to its ends: the same series from about 2*min(s, t) + 2 taps, as
-a(n) = 2a(n-1) - a(n-9) for (7, 1).  ``_terms`` runs the form that takes
-fewer big-number operations per steady term, the dense one on a tie.
+That recurrence has s+1 taps: s big-number operations a term.  For s > t
+the residues form t runs of consecutive integers from 1 to s+t-1, and
+(1 - x) times both polynomials telescopes each run to its ends: 2t taps,
+one doubling and 2t-1 additions, as a(n) = 2a(n-1) - a(n-9) for (7, 1).
+So ``_terms`` telescopes iff s > 2t; for s <= t it would only add taps.
 
 Everything is exact; counts never overflow.  B-files run the same loop
 on ``Decimal``s that trap any rounding, since printing one is linear in
@@ -101,14 +101,6 @@ def build_gf(cons: ScaledConstraint) -> RationalGF:
     return RationalGF(cons, tuple(num), tuple(den))
 
 
-def _steady_ops(den: tuple[int, ...]) -> int:
-    # Big-number operations per term of _run's steady loop over den: an add
-    # or subtract per tap past the copied head, and a multiply (or doubling)
-    # per coefficient but +-1 and for a head of -1.
-    e = list(filter(None, den[1:]))  # the taps, negated
-    return 2 * len(e) - 1 - e.count(1) - e.count(-1) + (e[0] == 1) if e else 0
-
-
 def _terms(gf: RationalGF, start: int = 0, seed: list | None = None) -> Iterator:
     """Coefficients start, start+1, ... of numerator/denominator, without end,
     by long division: with den[0] = 1, c_n = num_n - sum_{j>=1} den_j * c_{n-j}.
@@ -119,11 +111,9 @@ def _terms(gf: RationalGF, start: int = 0, seed: list | None = None) -> Iterator
     """
     num, den = gf.numerator, gf.denominator
     window = [0] * len(den) if seed is None else list(seed)
-    tden = tuple(map(sub, (*den, 0), (0, *den)))  # (1 - x) * den
-    if _steady_ops(tden) >= _steady_ops(den):
-        return _run(num, den, start, window)
-    tnum = tuple(map(sub, (*num, 0), (0, *num)))
-    return _run(tnum, tden, start, window)
+    if gf.constraint.s > 2 * gf.constraint.t:  # telescoped: (1 - x) times both
+        num, den = (tuple(map(sub, (*p, 0), (0, *p))) for p in (num, den))
+    return _run(num, den, start, window)
 
 
 def _run(num: tuple[int, ...], den: tuple[int, ...], start: int, window: list) -> Iterator:

@@ -144,6 +144,23 @@ class TestNormalize:
         with pytest.raises(ValueError):
             ScaledConstraint(4, 6)
 
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [True, 0.0, 1.0, 1.5, Fraction(1)])
+    def test_constructor_insists_on_exact_ints(self, field, bad):
+        # Each of s, t and k in turn.
+        fields = [1, 1, 0]
+        fields[field] = bad
+        with pytest.raises(ValueError, match="must be ints"):
+            ScaledConstraint(*fields)
+
+    def test_constructor_refuses_numpy_ints(self):
+        # Their arithmetic would carry into forward's parts as numpy ints.
+        np = pytest.importorskip("numpy")
+        with pytest.raises(ValueError, match="must be ints"):
+            ScaledConstraint(np.int64(2), np.int64(3))
+        with pytest.raises(ValueError, match="must be ints"):
+            ScaledConstraint(2, 3, np.int64(0))
+
 
 class TestSatisfies:
     def test_unscaled_allows_strictly_decreasing_pair(self):

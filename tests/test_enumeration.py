@@ -73,6 +73,12 @@ class TestAllCompositions:
         with pytest.raises(ValueError):
             list(all_compositions(-1))
 
+    def test_refuses_a_non_integer_total(self):
+        with pytest.raises(TypeError):
+            all_compositions(3.0)
+        with pytest.raises(TypeError):
+            arndt_compositions(3.0, ScaledConstraint(2, 3))
+
     def test_refuses_a_negative_total_when_called(self):
         # Before anything is drawn, so a caller writing as it draws writes nothing.
         cons = ScaledConstraint(2, 3)
@@ -128,10 +134,12 @@ BITMASK_UP_TO_12 = [tuple(bitmask_compositions(n)) for n in range(13)]
 
 @pytest.mark.parametrize("s,t", coprime_pairs(8))
 def test_streams_against_the_bitmask_oracle(s, t):
-    # Both streams, in order, and count_brute, over k = -3..3 and n <= 12.
+    # Both streams, in order, and count_brute, over k = -3..3 and n <= 12;
+    # k = -100 admits every pair and k = 100 none, at both clips of the
+    # table's bound on b.
     rs = residue_system(ScaledConstraint(s, t))
     for n, every in enumerate(BITMASK_UP_TO_12):
-        for k in range(-3, 4):
+        for k in (*range(-3, 4), -100, 100):
             got = parts_list(arndt_compositions(n, ScaledConstraint(s, t, k)))
             assert got == sorted(p for p in every if arndt_ok(p, s, t, k))
             assert count_brute(n, ScaledConstraint(s, t, k)) == len(got)

@@ -188,6 +188,20 @@ class TestTelescopedForm:
         telescoped = {pair for pair in LARGE_S if _runs_telescoped(forms, pair)}
         assert telescoped == {(1000, 1), (1000, 7), (10**4, 3)}
 
+        def ops(den):
+            # _run's steady loop: one operation per tap past the first, and
+            # one more when the first tap's coefficient is not 1.
+            taps = [-d for d in den[1:] if d]
+            return len(taps) - 1 + (taps[0] != 1)
+
+        for pair in coprime_pairs(40):
+            gf = build_gf(ScaledConstraint(*pair))
+            den = gf.denominator
+            telescoped = tuple(d - e for d, e in zip((*den, 0), (0, *den)))
+            forms.clear()
+            arndt.sequence._terms(gf)
+            assert forms == [telescoped if ops(telescoped) < ops(den) else den], pair
+
     def test_seven_one_doubles_and_subtracts(self, forms):
         # (1 - x)(1 - x - ... - x^8) = 1 - 2x + x^9: a(n) = 2a(n-1) - a(n-9).
         assert _runs_telescoped(forms, (7, 1))
