@@ -140,6 +140,15 @@ class Composition(_Value):
         return self.parts[i]
 
 
+def _checked_gcd(s: int, t: int, k: int) -> int:
+    # gcd(s, t), once s, t and k pass the rules ScaledConstraint and normalize share.
+    if {type(s), type(t), type(k)} != {int}:  # exact ints: no bool, float or numpy
+        raise ValueError(f"s, t and k must be ints, got ({s!r}, {t!r}, {k!r})")
+    if s < 1 or t < 1:
+        raise ValueError(f"s and t must be positive, got ({s}, {t})")
+    return gcd(s, t)
+
+
 class ScaledConstraint(_Value):
     """Coprime scaling pair (s, t) with affine offset k (default 0).
 
@@ -151,11 +160,7 @@ class ScaledConstraint(_Value):
     __slots__ = __match_args__ = ("s", "t", "k")
 
     def __init__(self, s: int, t: int, k: int = 0) -> None:
-        if {type(s), type(t), type(k)} != {int}:  # exact ints: no bool, float or numpy
-            raise ValueError(f"s, t and k must be ints, got ({s!r}, {t!r}, {k!r})")
-        if s < 1 or t < 1:
-            raise ValueError(f"s and t must be positive, got ({s}, {t})")
-        if gcd(s, t) != 1:
+        if _checked_gcd(s, t, k) != 1:
             raise ValueError(f"({s}, {t}) is not coprime; reduce it with normalize()")
         super().__init__(s, t, k)
 
@@ -163,6 +168,7 @@ class ScaledConstraint(_Value):
 def normalize(s: int, t: int, k: int = 0) -> ScaledConstraint:
     """Reduce (s, t) by their gcd and return the constraint.
 
+    Like the constructor, it first insists on s, t and k of exact type int.
     The reduction is only meaningful for k = 0 (the inequality
     s*a > t*b is invariant under scaling both sides); a non-coprime pair
     together with k != 0 is refused rather than silently rescaled.
@@ -170,9 +176,7 @@ def normalize(s: int, t: int, k: int = 0) -> ScaledConstraint:
     >>> normalize(4, 6)
     ScaledConstraint(s=2, t=3, k=0)
     """
-    if s < 1 or t < 1:
-        raise ValueError(f"s and t must be positive, got ({s}, {t})")
-    g = gcd(s, t)
+    g = _checked_gcd(s, t, k)
     if g > 1 and k != 0:
         raise ValueError(
             f"non-normalizable affine constraint ({s}, {t}, k={k}): "

@@ -1,14 +1,13 @@
 """Exhaustive composition streams and brute-force counting.
 
 The generators here are the independent ground truth for everything the
-recurrence and bijection machinery claims.  They walk the compositions of n
-depth first in lexicographic part order, growing only admissible prefixes
-from a table of the blocks that pass: on the Arndt side the part pairs (a, b)
-with b <= (s*a - k - 1) // t, solved for b instead of tested, and the free
-final part; on the congruence side the parts in the residue classes.  Every
-admissible prefix finishes in a match and the full set is never held: a stream
-pays amortized O(n) per composition emitted, ``count_brute`` builds none and
-pays O(1) per admissible prefix that leaves a positive remainder.
+recurrence and bijection machinery claims.  Every walk reads one list of the
+admissible blocks (part pairs on the Arndt side, single parts on the congruence
+side), and every admissible prefix finishes in a match, so the full set is
+never held: a stream grows the compositions of n depth first, in lexicographic
+part order, from a table of those blocks and pays amortized O(n) per
+composition emitted; ``count_brute`` reads only the blocks' sizes and pays
+O(1) per admissible prefix that leaves a positive remainder.
 Every walk refuses n beyond ``BRUTE_FORCE_CEILING`` when called.
 
 Streams are single-consumer iterators; counting functions are pure.
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 # Largest n any walk (count_brute and the three streams) will take: at
-# worst (k << 0) 2**25 matches, counted in about 3 s or streamed in about 70 s
+# worst (k << 0) 2**25 matches, counted in about 2 s or streamed in about 70 s
 # of CPU (Intel Xeon vCPU, Python 3.11); larger n is refused, not run unbounded.
 BRUTE_FORCE_CEILING = 26
 
@@ -84,25 +83,28 @@ def _require_walkable(n: int) -> None:
         )
 
 
-def _steps(n: int, constraint: ScaledConstraint | ResidueSystem) -> list[list]:
-    # steps[r]: the blocks that pass the constraint and may follow a prefix
-    # leaving remainder r, lexicographically, each with the remainder it leaves.
+def _blocks(n: int, constraint: ScaledConstraint | ResidueSystem) -> list[tuple]:
+    # The blocks that pass the constraint and fit in n, lexicographically, each with
+    # its size: part pairs (a, b) on the Arndt side, single parts on the congruence side.
     _require_walkable(n)
     if isinstance(constraint, ScaledConstraint):
         s, t, k = constraint.s, constraint.t, constraint.k
         # s*a > t*b + k iff b <= (s*a - k - 1) // t, floored for every sign of k.
-        pairs = [(a, b) for a in range(1, n)
-                 for b in range(1, min(n - a, (s * a - k - 1) // t) + 1)]
-        # The admissible pairs that fit in r, then the final part r.
-        return [[((a, b), r - a - b) for a, b in pairs if a + b <= r] + [((r,), 0)]
-                for r in range(n + 1)]
+        return [((a, b), a + b) for a in range(1, n)
+                for b in range(1, min(n - a, (s * a - k - 1) // t) + 1)]
     if isinstance(constraint, ResidueSystem):
-        # The parts in the residue classes that fit in r.
-        parts = [p for p in range(1, n + 1) if constraint.contains(p)]
-        return [[((p,), r - p) for p in parts if p <= r] for r in range(n + 1)]
+        return [((p,), p) for p in range(1, n + 1) if constraint.contains(p)]
     raise TypeError(
         f"expected ScaledConstraint or ResidueSystem, got {type(constraint).__name__}"
     )
+
+
+def _steps(n: int, constraint: ScaledConstraint | ResidueSystem) -> list[list]:
+    # steps[r]: the blocks that fit in r, lexicographically, each with the remainder
+    # it leaves; on the Arndt side the final part r comes last.
+    blocks, final = _blocks(n, constraint), isinstance(constraint, ScaledConstraint)
+    return [[(block, r - size) for block, size in blocks if size <= r]
+            + ([((r,), 0)] if final else []) for r in range(n + 1)]
 
 
 def arndt_compositions(n: int, cons: ScaledConstraint) -> Iterator[Composition]:
@@ -123,19 +125,26 @@ def count_brute(n: int, constraint: ScaledConstraint | ResidueSystem) -> int:
     """Cardinality of the matching stream, by exhaustive enumeration.
 
     ``constraint`` may be a :class:`ScaledConstraint` (Arndt filter, affine
-    offsets included) or a :class:`ResidueSystem` (congruence filter).
+    offsets included) or a :class:`ResidueSystem` (congruence filter).  The
+    count reads only the admissible blocks' sizes and builds no composition.
     Refuses n beyond :data:`BRUTE_FORCE_CEILING`.
 
     >>> count_brute(6, ScaledConstraint(2, 3))
     7
     """
-    steps = _steps(n, constraint)
-    if not n:
-        return 1
-    # Each admissible prefix leaving r > 0 (row 0 is never read) is popped once,
-    # adds row r's blocks that leave 0 and pushes the others' remainders.
-    ends = [sum(1 for _, left in row if not left) for row in steps]
-    inner = [[left for _, left in row if left] for row in steps]
+    blocks = _blocks(n, constraint)
+    fits = [0] * (n + 1)  # fits[m]: the admissible blocks of size m
+    for _, size in blocks:
+        fits[size] += 1
+    # From remainder r the fits[r] blocks of size r end a composition, as does the Arndt
+    # side's final part r (and for n = 0 the empty prefix). inner[r] lists the remainders
+    # the others leave, largest first: row r - 1 shifted up by one, then fits[r - 1] ones.
+    final = isinstance(constraint, ScaledConstraint)
+    ends, inner = [1], [[]]
+    for r in range(1, n + 1):
+        ends.append(fits[r] + final)
+        inner.append([left + 1 for left in inner[-1]] + [1] * fits[r - 1])
+    # One pop per admissible prefix leaving r > 0: brute force, no subtree counts kept.
     count, stack = 0, [n]
     while stack:
         r = stack.pop()

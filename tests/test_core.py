@@ -153,6 +153,27 @@ class TestNormalize:
         with pytest.raises(ValueError, match="must be ints"):
             ScaledConstraint(*fields)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(True, 1), (1, True), (True, True, True), (2.0, 3), (4, 6.0), (0.0, 3),
+         (Fraction(4), 6), (4, Fraction(6)), (4, 6, True), (2, 3, 1.5), (4, 6, Fraction(0))],
+    )
+    def test_normalize_insists_on_exact_ints_first(self, args):
+        # Before positivity, gcd or the affine check, naming the values given.
+        s, t, k = (*args, 0)[:3]
+        message = f"s, t and k must be ints, got ({s!r}, {t!r}, {k!r})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            normalize(*args)
+
+    def test_normalize_refuses_numpy_ints_as_given(self):
+        np = pytest.importorskip("numpy")
+        s, t = np.int64(4), np.int64(6)
+        message = f"s, t and k must be ints, got ({s!r}, {t!r}, 0)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            normalize(s, t)
+        with pytest.raises(ValueError, match="must be ints"):
+            normalize(4, 6, np.int64(0))
+
     def test_constructor_refuses_numpy_ints(self):
         # Their arithmetic would carry into forward's parts as numpy ints.
         np = pytest.importorskip("numpy")

@@ -230,6 +230,39 @@ class TestCountBrute:
         with pytest.raises(AssertionError, match="walked"):
             list(congruence_compositions(5, residue_system(ScaledConstraint(2, 3))))
 
+    def test_counts_without_stream_rows(self, monkeypatch):
+        # count_brute reads block sizes only, never the streams' table of rows:
+        # its counts match drained streams with _steps patched to fail.
+        pairs, offsets = [(1, 1), (2, 3), (3, 2), (7, 1)], [-100, *range(-3, 4), 100]
+        arndt_lengths, congruence_lengths = {}, {}  # of drained streams
+        for s, t in pairs:
+            rs = residue_system(ScaledConstraint(s, t))
+            for n in range(19):
+                congruence_lengths[s, t, n] = sum(1 for _ in congruence_compositions(n, rs))
+                for k in offsets if n <= 14 else [0]:
+                    stream = arndt_compositions(n, ScaledConstraint(s, t, k))
+                    arndt_lengths[s, t, k, n] = sum(1 for _ in stream)
+
+        def no_rows(n, constraint):
+            raise AssertionError("built stream rows")
+
+        monkeypatch.setattr(arndt.enumeration, "_steps", no_rows)
+        for s, t in pairs:
+            cons = ScaledConstraint(s, t)
+            rs = residue_system(cons)
+            for n, expected in enumerate(congruence_counts(s, t, 18)):
+                assert arndt_lengths[s, t, 0, n] == expected, (s, t, n)
+                assert congruence_lengths[s, t, n] == expected, (s, t, n)
+                assert count_brute(n, cons) == expected, (s, t, n)
+                assert count_brute(n, rs) == expected, (s, t, n)
+            for k in offsets:
+                for n in range(15):
+                    assert count_brute(n, ScaledConstraint(s, t, k)) == arndt_lengths[s, t, k, n]
+        with pytest.raises(AssertionError, match="stream rows"):
+            arndt_compositions(5, ScaledConstraint(2, 3))
+        with pytest.raises(AssertionError, match="stream rows"):
+            congruence_compositions(5, residue_system(ScaledConstraint(2, 3)))
+
     def test_every_composition_admitted(self):
         # With k far below 0 every pair passes: the widest tree there is.
         cons = ScaledConstraint(1, 1, -10**6)
