@@ -1,7 +1,7 @@
 """Exact counting sequences for scaled Arndt compositions.
 
-Counting compositions with parts confined to the residue classes
-m_0, ..., m_{s-1} modulo s+t gives the rational generating function
+Counting compositions with parts in the residue classes m_r = 1 +
+floor(r(s+t)/s), r = 0..s-1, modulo s+t gives the generating function
 
     (1 - x^(s+t)) / (1 - x^(s+t) - sum_r x^(m_r)),
 
@@ -14,10 +14,12 @@ so both routes are the one loop in ``_run``.  Note the m_0 = 1 term
 belongs in the sum: dropping it breaks even the Fibonacci case (1, 1).
 
 That recurrence has s+1 taps: s big-number operations a term.  For s > t
-the residues form t runs of consecutive integers from 1 to s+t-1, and
-(1 - x) times both polynomials telescopes each run to its ends: 2t taps,
-one doubling and 2t-1 additions, as a(n) = 2a(n-1) - a(n-9) for (7, 1).
-So ``_terms`` telescopes iff s > 2t; for s <= t it would only add taps.
+the residues form t runs of consecutive integers from 1 to s+t-1, split
+at e_j = ceil(js/t) + j for j = 1..t-1, and (1 - x) times both
+polynomials telescopes each run to its ends: 2t taps, +2 at 1, -1 at
+each e_j and +1 at e_j + 1, and -1 at s+t+1; one doubling and 2t-1
+additions, as a(n) = 2a(n-1) - a(n-9) for (7, 1).  So ``_form``
+telescopes iff s > 2t; for s <= t it would only add taps.
 
 Everything is exact; counts never overflow.  B-files run the same loop
 on ``Decimal``s that trap any rounding, since printing one is linear in
@@ -28,8 +30,8 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_right
-from collections.abc import Iterator
-from itertools import compress, islice
+from collections.abc import Iterator, Sequence
+from itertools import islice
 from math import inf
 from operator import sub
 
@@ -92,59 +94,55 @@ def build_gf(cons: ScaledConstraint) -> RationalGF:
     """
     rs = residue_system(cons)  # refuses k != 0
     m = rs.modulus
-    num = [0] * (m + 1)
-    num[0], num[m] = 1, -1
-    den = [0] * (m + 1)
-    den[0], den[m] = 1, -1
+    den = [1] + [0] * (m - 1) + [-1]
     for res in rs.residues:
         den[res] -= 1
-    return RationalGF(cons, tuple(num), tuple(den))
+    return RationalGF(cons, (1,) + (0,) * (m - 1) + (-1,), tuple(den))
 
 
-def _terms(gf: RationalGF, start: int = 0, seed: list | None = None) -> Iterator:
-    """Coefficients start, start+1, ... of numerator/denominator, without end,
-    by long division: with den[0] = 1, c_n = num_n - sum_{j>=1} den_j * c_{n-j}.
-    ``seed`` is c_{start-m-1}..c_{start-1} for m = deg(den), with c_i = 0
-    for i < 0: the m+1 terms that the telescoped taps reach, so either form
-    resumes from it.  It defaults to m+1 int zeros.  The terms take the
-    seed's number type, so ``Decimal`` zeros give exact ``Decimal`` terms.
-    """
-    num, den = gf.numerator, gf.denominator
-    window = [0] * len(den) if seed is None else list(seed)
-    if gf.constraint.s > 2 * gf.constraint.t:  # telescoped: (1 - x) times both
-        num, den = (tuple(map(sub, (*p, 0), (0, *p))) for p in (num, den))
-    return _run(num, den, start, window)
+def _form(cons: ScaledConstraint) -> tuple[dict[int, int], list[tuple[int, int]]]:
+    """The numerator {degree: coefficient} and taps [(j, d)], j ascending,
+    of the form the engine runs, built from the closed forms above in
+    O(min(s, t)): telescoped iff s > 2t.  Refuses k != 0."""
+    _require_pure(cons)
+    s, t = cons.s, cons.t
+    m = s + t
+    if s <= 2 * t:
+        return {0: 1, m: -1}, [(1 + r * m // s, 1) for r in range(s)] + [(m, 1)]
+    taps = [(1, 2)]
+    for j in range(1, t):
+        e = -(-j * s // t) + j
+        taps += [(e, -1), (e + 1, 1)]
+    return {0: 1, 1: -1, m: -1, m + 1: 1}, taps + [(m + 1, -1)]
 
 
-def _run(num: tuple[int, ...], den: tuple[int, ...], start: int, window: list) -> Iterator:
-    # _terms' loop for one form.  window ends with the m = len(den) - 1 terms
-    # below start and gets each term before it is yielded; window[-j] is
-    # c_{n-j}: a list, whose index is O(1) where a deque's is O(j).
-    m = len(den) - 1
-    kind = type(window[-1])
-    cap = 2 * m + 16  # trimmed back to m terms once it holds more
-    taps = [(-j, -den[j]) for j in compress(range(1, m + 1), den[1:])]
-    reach = [-j for j, _ in taps]
-    head, d0 = taps[0] if taps else (0, 1)
-    # Past the head, the +1 taps apart: a dense form adds with no per-tap
-    # test and skips the loop over the rest.
-    plus = [j for j, d in taps[1:] if d == 1]
-    rest = [(j, d) for j, d in taps[1:] if d != 1]
-    # From n = steady on, num_n = 0 and every tap fires; a polynomial has
-    # no taps and is all numerator.
-    steady = max(len(num), m) if taps else inf
+def _run(num: dict, taps: list, kind: type = int, start: int = 0, seed: Sequence = ()) -> Iterator:
+    """Coefficients start, start+1, ... of num/den without end, of type
+    ``kind``, by long division: c_n = num_n + sum_j d * c_{n-j} over den's
+    taps (j, d).  ``seed`` ends with the min(start, max j) terms below start."""
+    # window[-j] is c_{n-j}: a list, whose index is O(1) where a deque's is O(j).
+    window = list(seed)
+    reach = [j for j, _ in taps]
+    m = reach[-1] if taps else 0
+    # From n = steady on, num_n = 0 and every tap fires (a polynomial has no
+    # taps: all numerator).  Below it the window holds at most steady terms.
+    steady = max(max(num) + 1, m) if taps else inf
     n = start
     while n < steady:
         # c_{n-j} = 0 for j > n, so a(n) reads only the taps j <= n,
         # as the GF truncated at degree n gives the same c_0..c_n.
-        c = kind(num[n] if n < len(num) else 0)
+        c = kind(num.get(n, 0))
         for j, d in taps[: bisect_right(reach, n)]:
-            c = c + (window[j] if d == 1 else d * window[j])
+            c = c + (window[-j] if d == 1 else d * window[-j])
         window.append(c)
-        if len(window) > cap:
-            del window[: len(window) - m]
         yield c
         n += 1
+    cap = 2 * m + 16  # trimmed back to m terms once it holds more
+    (head, d0), *more = [(-j, d) for j, d in taps]
+    # Past the head, the +1 taps apart: a dense form adds with no per-tap
+    # test and skips the loop over the rest.
+    plus = [j for j, d in more if d == 1]
+    rest = [(j, d) for j, d in more if d != 1]
     while True:
         # Start from the head: in CPython, 0 + x copies all of x, and on a
         # long Decimal x + x is about three times as fast as 2 * x.
@@ -168,7 +166,11 @@ def expand(gf: RationalGF, n_max: int) -> SeriesExpansion:
     (1, 1, 1, 2, 3, 4, 7, 11, 17, 27)
     """
     _check_range(0, n_max)
-    return SeriesExpansion(gf.constraint, tuple(islice(_terms(gf), n_max + 1)))
+    num, den = gf.numerator, gf.denominator
+    if gf.constraint.s > 2 * gf.constraint.t:  # telescoped: (1 - x) times both
+        num, den = (tuple(map(sub, (*p, 0), (0, *p))) for p in (num, den))
+    terms = _run(dict(enumerate(num)), [(j, -d) for j, d in enumerate(den) if j and d])
+    return SeriesExpansion(gf.constraint, tuple(islice(terms, n_max + 1)))
 
 
 def count_recurrence(
@@ -187,18 +189,16 @@ def count_recurrence(
     >>> count_recurrence(ScaledConstraint(2, 3), 7)
     11
     """
-    # Refuse before the cache is read; build the GF (O(s+t)) only on a miss.
-    _require_pure(cons)
+    _require_pure(cons)  # before the cache is read
     _check_range(0, n)
     if cache is None:
-        return next(islice(_terms(build_gf(cons)), n, None))
+        return next(islice(_run(*_form(cons)), n, None))
     if n not in cache:
-        gf = build_gf(cons)
-        j, w = len(cache), len(gf.denominator)  # w = s+t+1 seed terms
+        j, w = len(cache), cons.s + cons.t + 1  # the telescoped taps' reach
         if j > n or any(i not in cache for i in range(max(j - w, 0), j)):
             j = 0
-        seed = [cache[i] if i >= 0 else 0 for i in range(j - w, j)]
-        cache.update(zip(range(j, n + 1), _terms(gf, j, seed)))
+        seed = [cache[i] for i in range(max(j - w, 0), j)]
+        cache.update(zip(range(j, n + 1), _run(*_form(cons), int, j, seed)))
     return cache[n]
 
 
@@ -221,7 +221,7 @@ def sequence_range(
         return [count_brute(n, cons) for n in range(n_lo, n_hi + 1)]
     if method not in ("recurrence", "series"):
         raise ValueError(f"unknown method {method!r}")
-    return list(islice(_terms(build_gf(cons)), n_lo, n_hi + 1))
+    return list(islice(_run(*_form(cons)), n_lo, n_hi + 1))
 
 
 _BFILE_CHUNK = 64  # lines per write
@@ -249,9 +249,8 @@ def write_bfile(
     from decimal import Decimal, localcontext
 
     _check_range(n_lo, n_hi)
-    gf = build_gf(cons)
     exact = _exact_context()
-    terms = islice(_terms(gf, 0, [Decimal(0)] * len(gf.denominator)), n_lo, n_hi + 1)
+    terms = islice(_run(*_form(cons), Decimal), n_lo, n_hi + 1)
     first = n_lo if offset is None else offset
     for lo in range(first, first + n_hi - n_lo + 1, _BFILE_CHUNK):
         with localcontext(exact):

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arndt.core
 import arndt.sequence
+from arndt.cli import main
 from arndt.core import ScaledConstraint
 from arndt.enumeration import count_brute
 from arndt.sequence import (
@@ -117,21 +119,19 @@ class TestExpand:
 
 class TestTermStream:
     def test_resumes_from_every_start(self):
-        # From each start up to 2m, seeded with the m+1 terms below it (zeros
-        # below index 0), the stream goes on as the full one does: across
-        # the last numerator term and the first tap-only term, on ints and
-        # on exact Decimals.
+        # From each start up to 2m, seeded with the min(start, m+1) terms
+        # below it, the stream goes on as the full one does: across the last
+        # numerator term and the first tap-only term, on ints and on exact
+        # Decimals.
         for s, t in coprime_pairs(8):
-            gf = build_gf(ScaledConstraint(s, t))
-            m = s + t
-            full = list(islice(arndt.sequence._terms(gf), 3 * m + 20))
-            padded = [0] * (m + 1) + full
+            form, m = arndt.sequence._form(ScaledConstraint(s, t)), s + t
+            full = list(islice(arndt.sequence._run(*form), 3 * m + 20))
             with localcontext(arndt.sequence._exact_context()):
                 for start in range(2 * m + 1):
-                    seed = padded[start : start + m + 1]
+                    seed = full[max(start - m - 1, 0) : start]
                     want = full[start : start + m + 20]
                     for kind in (int, Decimal):
-                        stream = arndt.sequence._terms(gf, start, [kind(v) for v in seed])
+                        stream = arndt.sequence._run(*form, kind, start, [kind(v) for v in seed])
                         got = list(islice(stream, m + 20))
                         assert got == want, (s, t, start, kind)
                         assert {type(v) for v in got} == {kind}
@@ -152,24 +152,33 @@ class TestTermStream:
 
 @pytest.fixture
 def forms(monkeypatch):
-    """The denominators that _terms hands to its loop, in order."""
-    dens, run = [], arndt.sequence._run
+    """The tap lists that the engine hands to its loop, in order."""
+    taps, run = [], arndt.sequence._run
 
-    def recorded(num, den, *rest):
-        dens.append(den)
-        return run(num, den, *rest)
+    def recorded(num, form_taps, *rest):
+        taps.append(form_taps)
+        return run(num, form_taps, *rest)
 
     monkeypatch.setattr(arndt.sequence, "_run", recorded)
-    return dens
+    return taps
+
+
+def _gf_form(pair, telescoped):
+    # build_gf's numerator {degree: coefficient} and taps [(j, -den_j)],
+    # both times (1 - x) when telescoped: the reference for _form.
+    gf = build_gf(ScaledConstraint(*pair))
+    num, den = gf.numerator, gf.denominator
+    if telescoped:
+        num, den = (tuple(d - e for d, e in zip((*p, 0), (0, *p))) for p in (num, den))
+    return {i: c for i, c in enumerate(num) if c}, [(j, -d) for j, d in enumerate(den) if j and d]
 
 
 def _runs_telescoped(forms, pair):
-    # Whether _terms runs the (1 - x)-telescoped denominator, one
-    # coefficient longer than build_gf's.
-    gf = build_gf(ScaledConstraint(*pair))
+    # Whether the engine runs build_gf's taps times (1 - x), which reach
+    # one past its degree s + t.
     forms.clear()
-    arndt.sequence._terms(gf)
-    return any(len(den) == len(gf.denominator) + 1 for den in forms)
+    sequence_range(ScaledConstraint(*pair), 0, 0)
+    return forms == [_gf_form(pair, True)[1]]
 
 
 # Pairs past the grid, by the largest n whose reference values stay cheap:
@@ -188,24 +197,27 @@ class TestTelescopedForm:
         telescoped = {pair for pair in LARGE_S if _runs_telescoped(forms, pair)}
         assert telescoped == {(1000, 1), (1000, 7), (10**4, 3)}
 
-        def ops(den):
+        def ops(taps):
             # _run's steady loop: one operation per tap past the first, and
             # one more when the first tap's coefficient is not 1.
-            taps = [-d for d in den[1:] if d]
-            return len(taps) - 1 + (taps[0] != 1)
+            return len(taps) - 1 + (taps[0][1] != 1)
 
-        for pair in coprime_pairs(40):
-            gf = build_gf(ScaledConstraint(*pair))
-            den = gf.denominator
-            telescoped = tuple(d - e for d, e in zip((*den, 0), (0, *den)))
+        for pair in [*coprime_pairs(40), *LARGE_S]:
+            dense, telescoped = (_gf_form(pair, tele)[1] for tele in (False, True))
             forms.clear()
-            arndt.sequence._terms(gf)
-            assert forms == [telescoped if ops(telescoped) < ops(den) else den], pair
+            sequence_range(ScaledConstraint(*pair), 0, 0)
+            assert forms == [telescoped if ops(telescoped) < ops(dense) else dense], pair
+
+    def test_form_is_build_gf_telescoped_iff_s_exceeds_two_t(self):
+        # The closed forms give build_gf's numerator and taps, times (1 - x)
+        # exactly when s > 2t, without building the s-tuple.
+        for s, t in [*coprime_pairs(40), *LARGE_S]:
+            assert arndt.sequence._form(ScaledConstraint(s, t)) == _gf_form((s, t), s > 2 * t)
 
     def test_seven_one_doubles_and_subtracts(self, forms):
         # (1 - x)(1 - x - ... - x^8) = 1 - 2x + x^9: a(n) = 2a(n-1) - a(n-9).
         assert _runs_telescoped(forms, (7, 1))
-        assert forms[-1] == (1, -2) + (0,) * 7 + (1,)
+        assert forms[-1] == [(1, 2), (9, -1)]
 
     def test_grid_agrees_with_the_reference(self):
         # Every coprime pair with s + t <= 16, across the first numerator-free
@@ -234,32 +246,31 @@ class TestTelescopedForm:
             assert a[i] == sum(a[i - r] for r in residues) + a[i - m]
 
     def test_seeded_starts_resume_on_either_form(self):
-        # The seed holds the s+t+1 terms the telescoped taps reach, so a
+        # The seed holds up to the s+t+1 terms the telescoped taps reach, so a
         # seeded stream runs one form from its first term, at every start.
         # From s+t to s+t+2 the stream goes on past the window's first trim;
         # elsewhere 20 terms keep (1000, 7) to about a second.
         for pair in [(7, 1), (3, 1), (5, 2), (1000, 7)]:
-            gf, m = build_gf(ScaledConstraint(*pair)), sum(pair)
-            full = list(islice(arndt.sequence._terms(gf), 3 * m + 20))
+            form, m = arndt.sequence._form(ScaledConstraint(*pair)), sum(pair)
+            full = list(islice(arndt.sequence._run(*form), 3 * m + 20))
             with localcontext(arndt.sequence._exact_context()):
                 for kind in (int, Decimal):
-                    padded = [kind(v) for v in [0] * (m + 1) + full]
+                    terms = [kind(v) for v in full]
                     for start in range(2 * m + 1):
-                        seed = padded[start : start + m + 1]
+                        seed = terms[max(start - m - 1, 0) : start]
                         drawn = m + 20 if m <= start <= m + 2 else 20
-                        got = list(islice(arndt.sequence._terms(gf, start, seed), drawn))
-                        want = padded[start + m + 1 : start + m + 1 + drawn]
+                        got = list(islice(arndt.sequence._run(*form, kind, start, seed), drawn))
+                        want = terms[start : start + drawn]
                         assert got == want, (pair, start, kind)
                         assert {type(v) for v in got} == {kind}
 
     @pytest.mark.parametrize("pair", [(7, 1), (1000, 7)])
     def test_every_miss_runs_the_telescoped_form_alone(self, forms, pair):
         # A miss that resumes past s + t seeds the s+t+1 terms that the
-        # telescoped taps reach, so it hands _run that one denominator, as
-        # a miss from a(0) does: no dense first term before it.
+        # telescoped taps reach, so it hands _run those taps alone, as a
+        # miss from a(0) does: no dense first term before them.
         cons, m = ScaledConstraint(*pair), sum(pair)
-        den = build_gf(cons).denominator
-        telescoped = tuple(d - e for d, e in zip((*den, 0), (0, *den)))
+        telescoped = _gf_form(pair, True)[1]
         cache: dict[int, int] = {}
         for n in sorted(set(range(0, m, 7)) | set(range(m - 3, m + 30))):
             forms.clear()
@@ -286,6 +297,32 @@ class TestTelescopedForm:
         value = count_recurrence(cons, 20000)
         assert time.process_time() - started < 2.0
         assert Decimal(export_bfile(cons, 20000, 20000).split()[1]) == value
+
+    def test_huge_s_far_term_holds_nothing_of_size_s(self):
+        # For n <= ceil(s/t) every part is admissible, so a(n) = 2^(n-1).
+        # At (10**9, 7) the 14 telescoped taps all lie past n = 5000 but the
+        # first, so the stream holds its terms so far and nothing of size s:
+        # about 1.8 MB and 2.2 MB peak.
+        cons = ScaledConstraint(10**9, 7)
+        for call, want in [
+            (lambda: count_recurrence(cons, 5000), 2**4999),
+            (lambda: export_bfile(cons, 4999, 5000), f"4999 {2**4998}\n5000 {2**4999}\n"),
+        ]:
+            tracemalloc.start()
+            try:
+                started = time.process_time()
+                assert call() == want
+                spent = time.process_time() - started
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20 and spent < 2.0, (peak, spent)
+        # Each one-step miss builds its 4 taps afresh: O(t), not O(s).
+        cons, cache = ScaledConstraint(10**5, 1), {}
+        started = time.process_time()
+        got = [count_recurrence(cons, n, cache) for n in range(1, 21)]
+        assert time.process_time() - started < 0.1
+        assert got == [2 ** (n - 1) for n in range(1, 21)]
 
 
 class TestCountRecurrence:
@@ -333,20 +370,20 @@ class TestCountRecurrence:
         assert fresh == ascending == descending[::-1]
 
     def test_ascending_calls_resume_from_the_cache(self, monkeypatch):
-        # Each miss continues from the cached window, zeros standing in
-        # below a(0), so 0..500 draws each term once: 501 terms, not the
-        # ~125k of restarting at a(0) on every miss.
+        # Each miss continues from the cached window, a shorter seed
+        # below index s+t+1, so 0..500 draws each term once: 501 terms, not
+        # the ~125k of restarting at a(0) on every miss.
         cons = ScaledConstraint(2, 3)
         walked = expand(build_gf(cons), 500).coefficients
-        terms, drawn = arndt.sequence._terms, 0
+        run, drawn = arndt.sequence._run, 0
 
         def counted(*args):
             nonlocal drawn
-            for c in terms(*args):
+            for c in run(*args):
                 drawn += 1
                 yield c
 
-        monkeypatch.setattr(arndt.sequence, "_terms", counted)
+        monkeypatch.setattr(arndt.sequence, "_run", counted)
         cache: dict[int, int] = {}
         assert tuple(count_recurrence(cons, n, cache) for n in range(501)) == walked
         assert drawn == 501
@@ -527,3 +564,32 @@ NEGATIVE_INDEX = {
 def test_negative_index_has_the_one_range_message(call):
     with pytest.raises(ValueError, match="need 0 <= n_lo <= n_hi"):
         call()
+
+
+def test_the_engine_never_builds_the_public_generating_function(monkeypatch, capsys):
+    # Every counting route takes its recurrence from the closed forms, so
+    # none of them reaches the O(s) builders, which stay the reference.
+    cons, want = ScaledConstraint(5, 2), congruence_counts(5, 2, 40)
+    lines = "".join(f"{n} {v}\n" for n, v in enumerate(want))
+    assert main(["table", "sequences"]) == 0
+    table = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("a public O(s) builder was called")
+
+    for module in (arndt.sequence, arndt.core):
+        monkeypatch.setattr(module, "residue_system", refuse)
+    monkeypatch.setattr(arndt.sequence, "build_gf", refuse)
+    assert [count_recurrence(cons, n) for n in range(41)] == want
+    cache: dict[int, int] = {}
+    assert [count_recurrence(cons, n, cache) for n in range(41)] == want
+    for method in ("recurrence", "series"):
+        assert sequence_range(cons, 0, 40, method) == want, method
+    assert export_bfile(cons, 0, 40) == lines
+    for argv, out in [
+        (["count", "-s", "5", "-t", "2", "-n", "40"], f"{want[40]}\n"),
+        (["bfile", "-s", "5", "-t", "2", "--range", "0..40"], lines),
+        (["table", "sequences"], table),
+    ]:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out, argv
