@@ -93,7 +93,10 @@ def _blocks(n: int, constraint: ScaledConstraint | ResidueSystem) -> list[tuple]
         return [((a, b), a + b) for a in range(1, n)
                 for b in range(1, min(n - a, (s * a - k - 1) // t) + 1)]
     if isinstance(constraint, ResidueSystem):
-        return [((p,), p) for p in range(1, n + 1) if constraint.contains(p)]
+        # The parts are 1 + b*m//s for b >= 0, and 1 + b*m//s <= n iff b*m < n*s.
+        s, m = len(constraint.residues), constraint.modulus
+        parts = [1 + b * m // s for b in range((n * s - 1) // m + 1)]
+        return [((p,), p) for p in parts]
     raise TypeError(
         f"expected ScaledConstraint or ResidueSystem, got {type(constraint).__name__}"
     )

@@ -19,7 +19,8 @@ at e_j = ceil(js/t) + j for j = 1..t-1, and (1 - x) times both
 polynomials telescopes each run to its ends: 2t taps, +2 at 1, -1 at
 each e_j and +1 at e_j + 1, and -1 at s+t+1; one doubling and 2t-1
 additions, as a(n) = 2a(n-1) - a(n-9) for (7, 1).  So ``_form``
-telescopes iff s > 2t; for s <= t it would only add taps.
+telescopes iff s > 2t; for s <= t it would only add taps.  Each request
+names its last index n, and ``_form`` lists only the taps a(n) can read.
 
 Everything is exact; counts never overflow.  B-files run the same loop
 on ``Decimal``s that trap any rounding, since printing one is linear in
@@ -29,10 +30,8 @@ its digits where printing an int is quadratic (and capped by default).
 from __future__ import annotations
 
 import io
-from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import islice
-from math import inf
 from operator import sub
 
 from .core import ScaledConstraint, _require_pure, _Value, residue_system
@@ -100,50 +99,41 @@ def build_gf(cons: ScaledConstraint) -> RationalGF:
     return RationalGF(cons, (1,) + (0,) * (m - 1) + (-1,), tuple(den))
 
 
-def _form(cons: ScaledConstraint) -> tuple[dict[int, int], list[tuple[int, int]]]:
+def _form(cons: ScaledConstraint, stop: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
     """The numerator {degree: coefficient} and taps [(j, d)], j ascending,
     of the form the engine runs, built from the closed forms above in
-    O(min(s, t)): telescoped iff s > 2t.  Refuses k != 0."""
+    O(min(s, t, stop)): telescoped iff s > 2t.  Of the taps past ``stop``,
+    which a(0)..a(stop) never read, it lists at most two.  Refuses k != 0."""
     _require_pure(cons)
     s, t = cons.s, cons.t
     m = s + t
-    if s <= 2 * t:
-        return {0: 1, m: -1}, [(1 + r * m // s, 1) for r in range(s)] + [(m, 1)]
+    if s <= 2 * t:  # 1 + r*m//s <= stop iff r*m < stop*s
+        taps = [(1 + r * m // s, 1) for r in range(min(s, (stop * s - 1) // m + 1))]
+        return {0: 1, m: -1}, taps + [(m, 1)]
     taps = [(1, 2)]
-    for j in range(1, t):
+    for j in range(1, min(t, stop * t // m + 1)):  # e_j <= stop iff j*m <= stop*t
         e = -(-j * s // t) + j
         taps += [(e, -1), (e + 1, 1)]
     return {0: 1, 1: -1, m: -1, m + 1: 1}, taps + [(m + 1, -1)]
 
 
-def _run(num: dict, taps: list, kind: type = int, start: int = 0, seed: Sequence = ()) -> Iterator:
-    """Coefficients start, start+1, ... of num/den without end, of type
-    ``kind``, by long division: c_n = num_n + sum_j d * c_{n-j} over den's
-    taps (j, d).  ``seed`` ends with the min(start, max j) terms below start."""
-    # window[-j] is c_{n-j}: a list, whose index is O(1) where a deque's is O(j).
-    window = list(seed)
-    reach = [j for j, _ in taps]
-    m = reach[-1] if taps else 0
-    # From n = steady on, num_n = 0 and every tap fires (a polynomial has no
-    # taps: all numerator).  Below it the window holds at most steady terms.
-    steady = max(max(num) + 1, m) if taps else inf
-    n = start
-    while n < steady:
-        # c_{n-j} = 0 for j > n, so a(n) reads only the taps j <= n,
-        # as the GF truncated at degree n gives the same c_0..c_n.
-        c = kind(num.get(n, 0))
-        for j, d in taps[: bisect_right(reach, n)]:
-            c = c + (window[-j] if d == 1 else d * window[-j])
-        window.append(c)
-        yield c
-        n += 1
+def _run(num: dict, taps: list, stop: int, kind: type = int, start: int = 0,
+         seed: Sequence = ()) -> Iterator:
+    """Coefficients start..stop of num/den, of type ``kind``, by long
+    division: c_n = num_n + sum_j d * c_{n-j} over den's taps (j, d).
+    ``seed`` ends with the min(start, max j) terms below start."""
+    taps = [(j, d) for j, d in taps if j <= stop] or [(1, 0)]  # a polynomial: one zero tap
+    m, top = taps[-1][0], max(num)
+    # window[-j] is c_{n-j}, and c_n = 0 for n < 0, so every term reads every
+    # tap: a list, whose index is O(1) where a deque's is O(j).
+    window = [kind(0)] * (m - len(seed)) + list(seed)
     cap = 2 * m + 16  # trimmed back to m terms once it holds more
     (head, d0), *more = [(-j, d) for j, d in taps]
     # Past the head, the +1 taps apart: a dense form adds with no per-tap
     # test and skips the loop over the rest.
     plus = [j for j, d in more if d == 1]
     rest = [(j, d) for j, d in more if d != 1]
-    while True:
+    for n in range(start, stop + 1):
         # Start from the head: in CPython, 0 + x copies all of x, and on a
         # long Decimal x + x is about three times as fast as 2 * x.
         w = window[head]
@@ -153,6 +143,8 @@ def _run(num: dict, taps: list, kind: type = int, start: int = 0, seed: Sequence
         if rest:
             for j, d in rest:
                 c = c - window[j] if d == -1 else c + d * window[j]
+        if n <= top:  # an int comparison: cheaper per term than n in num
+            c = c + num.get(n, 0)
         window.append(c)
         if len(window) > cap:
             del window[: len(window) - m]
@@ -169,8 +161,8 @@ def expand(gf: RationalGF, n_max: int) -> SeriesExpansion:
     num, den = gf.numerator, gf.denominator
     if gf.constraint.s > 2 * gf.constraint.t:  # telescoped: (1 - x) times both
         num, den = (tuple(map(sub, (*p, 0), (0, *p))) for p in (num, den))
-    terms = _run(dict(enumerate(num)), [(j, -d) for j, d in enumerate(den) if j and d])
-    return SeriesExpansion(gf.constraint, tuple(islice(terms, n_max + 1)))
+    taps = [(j, -d) for j, d in enumerate(den) if j and d]
+    return SeriesExpansion(gf.constraint, tuple(_run(dict(enumerate(num)), taps, n_max)))
 
 
 def count_recurrence(
@@ -182,9 +174,10 @@ def count_recurrence(
     answered from it, and a miss records a(j)..a(n) there, resuming at
     j = len(cache) when j <= n and a(max(j-s-t-1, 0))..a(j-1) are cached,
     else at j = 0; so ascending calls compute each term once.  Without a
-    cache it holds at most 2(s+t)+19 terms, a window trimmed back to s+t+1
-    or fewer each time it fills.  No internal locking: do not share one
-    cache between threads.
+    cache it holds at most 2w+17 terms for w = min(s+t+1, n), a window
+    trimmed back to the w or fewer below the next term, the reach of the
+    taps that a(n) reads, each time it fills.  No internal locking: do not
+    share one cache between threads.
 
     >>> count_recurrence(ScaledConstraint(2, 3), 7)
     11
@@ -192,13 +185,13 @@ def count_recurrence(
     _require_pure(cons)  # before the cache is read
     _check_range(0, n)
     if cache is None:
-        return next(islice(_run(*_form(cons)), n, None))
+        return next(islice(_run(*_form(cons, n), n), n, None))
     if n not in cache:
         j, w = len(cache), cons.s + cons.t + 1  # the telescoped taps' reach
         if j > n or any(i not in cache for i in range(max(j - w, 0), j)):
             j = 0
         seed = [cache[i] for i in range(max(j - w, 0), j)]
-        cache.update(zip(range(j, n + 1), _run(*_form(cons), int, j, seed)))
+        cache.update(enumerate(_run(*_form(cons, n), n, int, j, seed), j))
     return cache[n]
 
 
@@ -221,7 +214,7 @@ def sequence_range(
         return [count_brute(n, cons) for n in range(n_lo, n_hi + 1)]
     if method not in ("recurrence", "series"):
         raise ValueError(f"unknown method {method!r}")
-    return list(islice(_run(*_form(cons)), n_lo, n_hi + 1))
+    return list(islice(_run(*_form(cons, n_hi), n_hi), n_lo, None))
 
 
 _BFILE_CHUNK = 64  # lines per write
@@ -240,8 +233,8 @@ def write_bfile(
     out: io.TextIOBase, cons: ScaledConstraint, n_lo: int, n_hi: int, offset: int | None = None
 ) -> None:
     """Write ``export_bfile``'s text to ``out`` as the terms come, one
-    chunk of lines per write, holding at most 2(s+t)+19 terms and one
-    chunk.
+    chunk of lines per write, holding at most 2w+17 terms for
+    w = min(s+t+1, n_hi), as ``count_recurrence`` does, and one chunk.
 
     The terms are exact ``Decimal``s, computed in a context entered around
     each chunk's arithmetic only: the caller and ``out.write`` never see it.
@@ -250,7 +243,7 @@ def write_bfile(
 
     _check_range(n_lo, n_hi)
     exact = _exact_context()
-    terms = islice(_run(*_form(cons), Decimal), n_lo, n_hi + 1)
+    terms = islice(_run(*_form(cons, n_hi), n_hi, Decimal), n_lo, None)
     first = n_lo if offset is None else offset
     for lo in range(first, first + n_hi - n_lo + 1, _BFILE_CHUNK):
         with localcontext(exact):

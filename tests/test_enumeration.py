@@ -2,7 +2,7 @@
 
 import pytest
 
-from arndt.core import Composition, ScaledConstraint, residue_system, satisfies
+from arndt.core import Composition, ResidueSystem, ScaledConstraint, residue_system, satisfies
 import arndt.enumeration
 from arndt.enumeration import (
     BRUTE_FORCE_CEILING,
@@ -164,6 +164,22 @@ def test_count_brute_past_the_bitmask_oracle(s, t):
         for k in (-3, 3):
             affine = ScaledConstraint(s, t, k)
             assert count_brute(n, affine) == sum(1 for _ in arndt_compositions(n, affine))
+
+
+def test_congruence_side_lists_parts_without_membership_tests(monkeypatch):
+    # The congruence side's blocks are the parts 1 + b*(s+t)//s, listed by b:
+    # no part is tested with ResidueSystem.contains.
+    def no_contains(self, part):
+        raise AssertionError(f"tested part {part}")
+
+    monkeypatch.setattr(ResidueSystem, "contains", no_contains)
+    for s, t in coprime_pairs(8):
+        rs = residue_system(ScaledConstraint(s, t))
+        for n, every in enumerate(BITMASK_UP_TO_12):
+            got = parts_list(congruence_compositions(n, rs))
+            assert got == sorted(p for p in every if congruence_ok(p, residue_list(s, t), s + t))
+        for n, expected in enumerate(congruence_counts(s, t, 18)):
+            assert count_brute(n, rs) == expected, (s, t, n)
 
 
 class TestCongruenceCompositions:

@@ -120,21 +120,23 @@ class TestExpand:
 class TestTermStream:
     def test_resumes_from_every_start(self):
         # From each start up to 2m, seeded with the min(start, m+1) terms
-        # below it, the stream goes on as the full one does: across the last
-        # numerator term and the first tap-only term, on ints and on exact
-        # Decimals.
+        # below it, a request to start+1 or start+m+19 goes on as the full
+        # stream does: across the last numerator term and the first tap-only
+        # term, on a form cut short of the seed and on the whole one, on ints
+        # and on exact Decimals.
         for s, t in coprime_pairs(8):
-            form, m = arndt.sequence._form(ScaledConstraint(s, t)), s + t
-            full = list(islice(arndt.sequence._run(*form), 3 * m + 20))
+            cons, m = ScaledConstraint(s, t), s + t
+            full = list(arndt.sequence._run(*arndt.sequence._form(cons, 3 * m + 19), 3 * m + 19))
             with localcontext(arndt.sequence._exact_context()):
                 for start in range(2 * m + 1):
                     seed = full[max(start - m - 1, 0) : start]
-                    want = full[start : start + m + 20]
-                    for kind in (int, Decimal):
-                        stream = arndt.sequence._run(*form, kind, start, [kind(v) for v in seed])
-                        got = list(islice(stream, m + 20))
-                        assert got == want, (s, t, start, kind)
-                        assert {type(v) for v in got} == {kind}
+                    for stop in (start + 1, start + m + 19):
+                        form, want = arndt.sequence._form(cons, stop), full[start : stop + 1]
+                        for kind in (int, Decimal):
+                            seeded = [kind(v) for v in seed]
+                            got = list(arndt.sequence._run(*form, stop, kind, start, seeded))
+                            assert got == want, (s, t, start, stop, kind)
+                            assert {type(v) for v in got} == {kind}
 
     def test_huge_s_reads_only_the_taps_up_to_n(self):
         # (10**5, 1) has s + t = 100001 dense taps, but a(n) for n <= 50
@@ -152,12 +154,12 @@ class TestTermStream:
 
 @pytest.fixture
 def forms(monkeypatch):
-    """The tap lists that the engine hands to its loop, in order."""
+    """The taps that the engine's loop runs, cut at each request's stop, in order."""
     taps, run = [], arndt.sequence._run
 
-    def recorded(num, form_taps, *rest):
-        taps.append(form_taps)
-        return run(num, form_taps, *rest)
+    def recorded(num, form_taps, stop, *rest):
+        taps.append([(j, d) for j, d in form_taps if j <= stop])
+        return run(num, form_taps, stop, *rest)
 
     monkeypatch.setattr(arndt.sequence, "_run", recorded)
     return taps
@@ -173,12 +175,18 @@ def _gf_form(pair, telescoped):
     return {i: c for i, c in enumerate(num) if c}, [(j, -d) for j, d in enumerate(den) if j and d]
 
 
+def _whole_form_taps(forms, pair):
+    # The taps the engine runs for a request that reads them all: a(s+t+1)
+    # reads the telescoped taps' reach.
+    forms.clear()
+    sequence_range(ScaledConstraint(*pair), 0, sum(pair) + 1)
+    return forms
+
+
 def _runs_telescoped(forms, pair):
     # Whether the engine runs build_gf's taps times (1 - x), which reach
     # one past its degree s + t.
-    forms.clear()
-    sequence_range(ScaledConstraint(*pair), 0, 0)
-    return forms == [_gf_form(pair, True)[1]]
+    return _whole_form_taps(forms, pair) == [_gf_form(pair, True)[1]]
 
 
 # Pairs past the grid, by the largest n whose reference values stay cheap:
@@ -204,15 +212,32 @@ class TestTelescopedForm:
 
         for pair in [*coprime_pairs(40), *LARGE_S]:
             dense, telescoped = (_gf_form(pair, tele)[1] for tele in (False, True))
-            forms.clear()
-            sequence_range(ScaledConstraint(*pair), 0, 0)
-            assert forms == [telescoped if ops(telescoped) < ops(dense) else dense], pair
+            want = telescoped if ops(telescoped) < ops(dense) else dense
+            assert _whole_form_taps(forms, pair) == [want], pair
 
     def test_form_is_build_gf_telescoped_iff_s_exceeds_two_t(self):
-        # The closed forms give build_gf's numerator and taps, times (1 - x)
-        # exactly when s > 2t, without building the s-tuple.
+        # For a request that reads every tap, the closed forms give build_gf's
+        # numerator and taps, times (1 - x) exactly when s > 2t, without
+        # building the s-tuple.
         for s, t in [*coprime_pairs(40), *LARGE_S]:
-            assert arndt.sequence._form(ScaledConstraint(s, t)) == _gf_form((s, t), s > 2 * t)
+            for stop in (s + t + 1, 10**12):
+                got = arndt.sequence._form(ScaledConstraint(s, t), stop)
+                assert got == _gf_form((s, t), s > 2 * t), (s, t, stop)
+
+    def test_a_short_request_lists_the_taps_it_reads(self):
+        # Cut at stop <= s+t+1, the form keeps every tap <= stop of the whole
+        # form and lists at most two past it, so a short request of a huge s
+        # costs O(stop), not O(min(s, t)).
+        for s, t in coprime_pairs(16):
+            cons, m = ScaledConstraint(s, t), s + t
+            whole_num, whole = arndt.sequence._form(cons, m + 1)
+            for stop in range(m + 2):
+                num, taps = arndt.sequence._form(cons, stop)
+                assert num == whole_num
+                assert [tap for tap in taps if tap[0] <= stop] == [
+                    tap for tap in whole if tap[0] <= stop
+                ], (s, t, stop)
+                assert len([tap for tap in taps if tap[0] > stop]) <= 2, (s, t, stop)
 
     def test_seven_one_doubles_and_subtracts(self, forms):
         # (1 - x)(1 - x - ... - x^8) = 1 - 2x + x^9: a(n) = 2a(n-1) - a(n-9).
@@ -251,23 +276,24 @@ class TestTelescopedForm:
         # From s+t to s+t+2 the stream goes on past the window's first trim;
         # elsewhere 20 terms keep (1000, 7) to about a second.
         for pair in [(7, 1), (3, 1), (5, 2), (1000, 7)]:
-            form, m = arndt.sequence._form(ScaledConstraint(*pair)), sum(pair)
-            full = list(islice(arndt.sequence._run(*form), 3 * m + 20))
+            cons, m = ScaledConstraint(*pair), sum(pair)
+            full = list(arndt.sequence._run(*arndt.sequence._form(cons, 3 * m + 19), 3 * m + 19))
             with localcontext(arndt.sequence._exact_context()):
                 for kind in (int, Decimal):
                     terms = [kind(v) for v in full]
                     for start in range(2 * m + 1):
                         seed = terms[max(start - m - 1, 0) : start]
-                        drawn = m + 20 if m <= start <= m + 2 else 20
-                        got = list(islice(arndt.sequence._run(*form, kind, start, seed), drawn))
-                        want = terms[start : start + drawn]
+                        stop = start + (m + 19 if m <= start <= m + 2 else 19)
+                        form = arndt.sequence._form(cons, stop)
+                        got = list(arndt.sequence._run(*form, stop, kind, start, seed))
+                        want = terms[start : stop + 1]
                         assert got == want, (pair, start, kind)
                         assert {type(v) for v in got} == {kind}
 
     @pytest.mark.parametrize("pair", [(7, 1), (1000, 7)])
     def test_every_miss_runs_the_telescoped_form_alone(self, forms, pair):
         # A miss that resumes past s + t seeds the s+t+1 terms that the
-        # telescoped taps reach, so it hands _run those taps alone, as a
+        # telescoped taps reach, so it runs those taps alone, cut at n, as a
         # miss from a(0) does: no dense first term before them.
         cons, m = ScaledConstraint(*pair), sum(pair)
         telescoped = _gf_form(pair, True)[1]
@@ -275,7 +301,7 @@ class TestTelescopedForm:
         for n in sorted(set(range(0, m, 7)) | set(range(m - 3, m + 30))):
             forms.clear()
             count_recurrence(cons, n, cache)
-            assert forms == [telescoped], (pair, n)
+            assert forms == [[(j, d) for j, d in telescoped if j <= n]], (pair, n)
 
     @pytest.mark.parametrize("pair,n_max", [((7, 1), 300), ((1000, 7), 2500)])
     def test_ascending_cache_matches_the_uncached_stream(self, pair, n_max):
@@ -301,21 +327,13 @@ class TestTelescopedForm:
     def test_huge_s_far_term_holds_nothing_of_size_s(self):
         # For n <= ceil(s/t) every part is admissible, so a(n) = 2^(n-1).
         # At (10**9, 7) the 14 telescoped taps all lie past n = 5000 but the
-        # first, so the stream holds its terms so far and nothing of size s:
-        # about 1.8 MB and 2.2 MB peak.
+        # first, so the request runs that one tap and holds nothing of size s.
         cons = ScaledConstraint(10**9, 7)
         for call, want in [
             (lambda: count_recurrence(cons, 5000), 2**4999),
             (lambda: export_bfile(cons, 4999, 5000), f"4999 {2**4998}\n5000 {2**4999}\n"),
         ]:
-            tracemalloc.start()
-            try:
-                started = time.process_time()
-                assert call() == want
-                spent = time.process_time() - started
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            peak, spent = _peak_and_cpu(call, want)
             assert peak < 4 * 2**20 and spent < 2.0, (peak, spent)
         # Each one-step miss builds its 4 taps afresh: O(t), not O(s).
         cons, cache = ScaledConstraint(10**5, 1), {}
@@ -323,6 +341,40 @@ class TestTelescopedForm:
         got = [count_recurrence(cons, n, cache) for n in range(1, 21)]
         assert time.process_time() - started < 0.1
         assert got == [2 ** (n - 1) for n in range(1, 21)]
+
+    @pytest.mark.parametrize(
+        "call,want",
+        [
+            # The tap at 1 alone: a window of a few terms, not every term below
+            # the far taps (108 MB peak when the whole form ran).
+            (lambda: count_recurrence(ScaledConstraint(10**9, 7), 40000), 2**39999),
+            # Odd parts below 2 * 10**5 + 1: fib(30) from 15 of the 10**5 + 1 dense taps.
+            (lambda: count_recurrence(ScaledConstraint(10**5, 10**5 + 1), 30), fib(30)),
+            # Telescoped, 2 * 10**5 taps of which a(30) reads 19: the residues
+            # up to 30 are those of (201, 100).
+            (
+                lambda: sequence_range(ScaledConstraint(2 * 10**5 + 1, 10**5), 0, 30),
+                congruence_counts(201, 100, 30),
+            ),
+        ],
+        ids=["all-parts", "dense", "telescoped"],
+    )
+    def test_a_short_request_builds_only_the_taps_it_reads(self, call, want):
+        peak, spent = _peak_and_cpu(call, want)
+        assert peak < 2**20 and spent < 2.0, (peak, spent)
+
+
+def _peak_and_cpu(call, want):
+    # The tracemalloc peak and the CPU seconds of call(), which must return want.
+    tracemalloc.start()
+    try:
+        started = time.process_time()
+        assert call() == want
+        spent = time.process_time() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, spent
 
 
 class TestCountRecurrence:
