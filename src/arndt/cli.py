@@ -35,9 +35,12 @@ _TABLE_SEQUENCE_PAIRS = [(2, 3), (3, 2), (2, 5), (4, 3), (5, 2), (3, 5), (5, 3)]
 
 
 def _positive(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return int(text)
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}") from None
+    raise argparse.ArgumentTypeError(f"must be positive, got {text}")
 
 
 def _parts(text: str) -> Composition:

@@ -170,14 +170,13 @@ def count_recurrence(
 ) -> int:
     """a(n) via the linear recurrence.
 
+    Let w <= min(s+t+1, n) be the reach of the taps that a(n) reads.
     ``cache`` maps index -> count and is owned by the caller; a hit is
     answered from it, and a miss records a(j)..a(n) there, resuming at
-    j = len(cache) when j <= n and a(max(j-s-t-1, 0))..a(j-1) are cached,
+    j = len(cache) when j <= n and a(max(j-w, 0))..a(j-1) are cached,
     else at j = 0; so ascending calls compute each term once.  Without a
-    cache it holds at most 2w+17 terms for w = min(s+t+1, n), a window
-    trimmed back to the w or fewer below the next term, the reach of the
-    taps that a(n) reads, each time it fills.  No internal locking: do not
-    share one cache between threads.
+    cache it holds a window of at most 2w+17 terms, cut to the last w as
+    it fills.  No internal locking: do not share one cache between threads.
 
     >>> count_recurrence(ScaledConstraint(2, 3), 7)
     11
@@ -187,11 +186,12 @@ def count_recurrence(
     if cache is None:
         return next(islice(_run(*_form(cons, n), n), n, None))
     if n not in cache:
-        j, w = len(cache), cons.s + cons.t + 1  # the telescoped taps' reach
-        if j > n or any(i not in cache for i in range(max(j - w, 0), j)):
-            j = 0
-        seed = [cache[i] for i in range(max(j - w, 0), j)]
-        cache.update(enumerate(_run(*_form(cons, n), n, int, j, seed), j))
+        num, taps = _form(cons, n)
+        j, w = len(cache), max((i for i, _ in taps if i <= n), default=0)  # a(n)'s reach
+        seed = [cache.get(i) for i in range(max(j - w, 0), j)]
+        if j > n or None in seed:
+            j, seed = 0, []
+        cache.update(enumerate(_run(num, taps, n, int, j, seed), j))
     return cache[n]
 
 

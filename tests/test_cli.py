@@ -92,6 +92,11 @@ class TestCount:
         code, _, err = run(capsys, "count", "-s", "0", "-t", "3", "-n", "6")
         assert code == 2
         assert "positive" in err
+        # Not an integer at all: the message names the rule, not a helper.
+        for value in ("x", "1.5"):
+            code, _, err = run(capsys, "count", "-s", value, "-t", "1", "-n", "3")
+            assert code == 2, value
+            assert "positive" in err and "_positive" not in err, err
 
     def test_far_term_prints_in_full(self, capsys):
         # a(25000) of (1, 1) has 5225 digits, past CPython's default

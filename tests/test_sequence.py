@@ -377,6 +377,26 @@ def _peak_and_cpu(call, want):
     return peak, spent
 
 
+class _ReadKeys(dict):
+    """A cache that records the distinct keys its lookups ask for."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 class TestCountRecurrence:
     def test_listed_values(self):
         assert count_recurrence(ScaledConstraint(2, 3), 7) == 11
@@ -403,14 +423,18 @@ class TestCountRecurrence:
         with pytest.raises(ValueError):
             count_recurrence(ScaledConstraint(2, 3), -1)
 
-    def test_a_cache_hit_builds_no_generating_function(self):
-        # At (10**6, 1) the GF has 10**6 + 2 coefficients per polynomial;
-        # building it before reading the cache took about 0.5 s per hit.
+    def test_a_cache_hit_builds_no_generating_function(self, monkeypatch):
+        # A hit is answered from the cache alone: it builds no form and
+        # runs no term, which a CPU-time bound could only suggest.
         cons, cache = ScaledConstraint(10**6, 1), {}
         assert count_recurrence(cons, 20, cache) == 2**19
-        started = time.process_time()
+
+        def refused(*args):
+            raise AssertionError("a cache hit built or ran the recurrence")
+
+        monkeypatch.setattr(arndt.sequence, "_form", refused)
+        monkeypatch.setattr(arndt.sequence, "_run", refused)
         assert count_recurrence(cons, 10, cache) == 2**9
-        assert time.process_time() - started < 0.05
 
     def test_cache_reuse_and_evaluation_order(self):
         cons = ScaledConstraint(3, 2)
@@ -452,6 +476,48 @@ class TestCountRecurrence:
             cache[40] = walked[40]
             assert count_recurrence(cons, 30, cache) == walked[30], pair
             assert all(cache[i] == walked[i] for i in cache), pair
+
+    def test_a_one_step_miss_reads_two_entries_at_a_huge_s(self):
+        # Below e_1 = ceil(10**9/7) + 1, a(n) of (10**9, 7) reads only the
+        # tap at 1, so each ascending miss looks up n and n-1 and nothing
+        # of the s+t+1 terms below it.
+        cons, cache = ScaledConstraint(10**9, 7), _ReadKeys()
+        for n in range(3000):
+            cache.read.clear()
+            assert count_recurrence(cons, n, cache) == max(2 ** (n - 1), 1)
+            assert len(cache.read) <= 2, (n, len(cache.read))
+
+    @pytest.mark.parametrize("pair", coprime_pairs(8))
+    def test_a_miss_reads_only_the_reach_of_its_taps(self, pair):
+        cons, cache = ScaledConstraint(*pair), _ReadKeys()
+        got = []
+        for n in range(61):
+            _, taps = arndt.sequence._form(cons, n)
+            w = max((j for j, _ in taps if j <= n), default=0)
+            cache.read.clear()
+            got.append(count_recurrence(cons, n, cache))
+            assert len(cache.read) <= w + 1, (n, w, sorted(cache.read))
+        assert got == sequence_range(cons, 0, 60) == [cache[n] for n in range(61)]
+
+    def test_resumes_past_a_hole_beyond_the_reach(self, monkeypatch):
+        # At (2, 3) a(30) reads back w = 5 terms, so a cache of a(0)..a(12)
+        # without a(6) still holds a(7)..a(11), and the miss resumes at 12.
+        # The hole itself lies below len(cache), so its miss walks from a(0).
+        cons = ScaledConstraint(2, 3)
+        walked = expand(build_gf(cons), 30).coefficients
+        run, starts = arndt.sequence._run, []
+
+        def recorded(num, taps, stop, kind=int, start=0, seed=()):
+            starts.append(start)
+            return run(num, taps, stop, kind, start, seed)
+
+        monkeypatch.setattr(arndt.sequence, "_run", recorded)
+        cache = {i: walked[i] for i in range(13) if i != 6}
+        assert count_recurrence(cons, 30, cache) == walked[30]
+        assert starts == [12] and 6 not in cache
+        assert count_recurrence(cons, 6, cache) == walked[6]
+        assert starts == [12, 0]
+        assert cache == dict(enumerate(walked))
 
     def test_without_a_cache_holds_a_window_not_every_term(self):
         # a(20000) of (1, 1) has 4180 digits, and the 20001 terms below it
