@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import accumulate, islice
 
-from .core import Composition, ScaledConstraint, _rank, _require_pure, _Value
+from .core import Composition, ScaledConstraint, _ints, _rank, _require_pure, _Value
 
 __all__ = ["ArndtPair", "OnesBlock", "map_pair", "unmap_block", "forward", "backward"]
 
@@ -40,6 +40,7 @@ class ArndtPair(_Value):
     __slots__ = __match_args__ = ("a", "b")
 
     def __init__(self, a: int, b: int) -> None:
+        _ints((a, b), "a and b must be ints, got {!r}")
         if a < 1:
             raise ValueError(f"first part of a pair must be positive, got {a}")
         if b < 0:
@@ -57,6 +58,7 @@ class OnesBlock(_Value):
     __slots__ = __match_args__ = ("ones", "anchor")
 
     def __init__(self, ones: int, anchor: int | None = None) -> None:
+        _ints((ones,) if anchor is None else (ones, anchor), "ones and anchor must be ints: {!r}")
         if ones < 0:
             raise ValueError(f"run length must be >= 0, got {ones}")
         if anchor is None:

@@ -69,14 +69,12 @@ def cmd_enumerate(args, cons: ScaledConstraint) -> None:
     else:
         stream = arndt_compositions(args.n, cons)
     if args.format == "json":
-        import json  # here only: every other command would pay its import
-
-        # The bytes of json.dumps(list), written as the stream runs: each
-        # chunk's array without its brackets, joined by json's separator.
+        # The bytes of json.dumps(list), written as the stream runs: each chunk's
+        # str (its JSON: it holds only lists of ints) without brackets, joined by ", ".
         sys.stdout.write("[")
         sep = ""
         while chunk := [list(c.parts) for c in islice(stream, 256)]:
-            sys.stdout.write(sep + json.dumps(chunk)[1:-1])
+            sys.stdout.write(sep + str(chunk)[1:-1])
             sep = ", "
         sys.stdout.write("]\n")
     else:

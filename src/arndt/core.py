@@ -45,6 +45,12 @@ def ceil_div(a: int, b: int) -> int:
     return (a + b - 1) // b
 
 
+def _ints(values: tuple, error: str) -> tuple:
+    if countOf(map(type, values), int) != len(values):  # exact ints: no bool, float or numpy
+        raise ValueError(error.format(values))
+    return values
+
+
 class _Value:
     """Base of the immutable value types, whose fields are their ``__slots__``.
 
@@ -94,9 +100,9 @@ class Composition(_Value):
     __slots__ = __match_args__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]) -> None:
-        parts = tuple(parts)
         # Two C-level passes; exact type int first (no bool), so min sees ints.
-        if countOf(map(type, parts), int) != len(parts) or parts and min(parts) < 1:
+        parts = _ints(tuple(parts), "parts must be positive integers: {!r}")
+        if parts and min(parts) < 1:
             raise ValueError(f"parts must be positive integers: {parts!r}")
         object.__setattr__(self, "parts", parts)  # not super().__init__: a hot path
 
@@ -142,8 +148,7 @@ class Composition(_Value):
 
 def _checked_gcd(s: int, t: int, k: int) -> int:
     # gcd(s, t), once s, t and k pass the rules ScaledConstraint and normalize share.
-    if {type(s), type(t), type(k)} != {int}:  # exact ints: no bool, float or numpy
-        raise ValueError(f"s, t and k must be ints, got ({s!r}, {t!r}, {k!r})")
+    _ints((s, t, k), "s, t and k must be ints, got {!r}")
     if s < 1 or t < 1:
         raise ValueError(f"s and t must be positive, got ({s}, {t})")
     return gcd(s, t)
@@ -226,7 +231,7 @@ class ResidueSystem(_Value):
     __slots__ = __match_args__ = ("modulus", "residues")
 
     def __init__(self, modulus: int, residues: tuple[int, ...]) -> None:
-        rs = tuple(residues)
+        rs = _ints((modulus, *residues), "modulus and residues must be ints, got {!r}")[1:]
         s = len(rs)
         if not 0 < s < modulus or any(m != 1 + r * modulus // s for r, m in enumerate(rs)):
             raise ValueError(f"residues[r] must be 1 + r*{modulus}//s, 0 <= r < s < {modulus}")

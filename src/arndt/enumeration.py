@@ -83,20 +83,20 @@ def _require_walkable(n: int) -> None:
         )
 
 
-def _blocks(n: int, constraint: ScaledConstraint | ResidueSystem) -> list[tuple]:
-    # The blocks that pass the constraint and fit in n, lexicographically, each with
-    # its size: part pairs (a, b) on the Arndt side, single parts on the congruence side.
+def _blocks(n: int, constraint: ScaledConstraint | ResidueSystem) -> tuple[list[tuple], bool]:
+    # The blocks that pass the constraint and fit in n, lexicographically, each with its size,
+    # and if a final part may end: Arndt side, part pairs (a, b), True; congruence, parts, False.
     _require_walkable(n)
     if isinstance(constraint, ScaledConstraint):
         s, t, k = constraint.s, constraint.t, constraint.k
         # s*a > t*b + k iff b <= (s*a - k - 1) // t, floored for every sign of k.
         return [((a, b), a + b) for a in range(1, n)
-                for b in range(1, min(n - a, (s * a - k - 1) // t) + 1)]
+                for b in range(1, min(n - a, (s * a - k - 1) // t) + 1)], True
     if isinstance(constraint, ResidueSystem):
         # The parts are 1 + b*m//s for b >= 0, and 1 + b*m//s <= n iff b*m < n*s.
         s, m = len(constraint.residues), constraint.modulus
         parts = [1 + b * m // s for b in range((n * s - 1) // m + 1)]
-        return [((p,), p) for p in parts]
+        return [((p,), p) for p in parts], False
     raise TypeError(
         f"expected ScaledConstraint or ResidueSystem, got {type(constraint).__name__}"
     )
@@ -105,7 +105,7 @@ def _blocks(n: int, constraint: ScaledConstraint | ResidueSystem) -> list[tuple]
 def _steps(n: int, constraint: ScaledConstraint | ResidueSystem) -> list[list]:
     # steps[r]: the blocks that fit in r, lexicographically, each with the remainder
     # it leaves; on the Arndt side the final part r comes last.
-    blocks, final = _blocks(n, constraint), isinstance(constraint, ScaledConstraint)
+    blocks, final = _blocks(n, constraint)
     return [[(block, r - size) for block, size in blocks if size <= r]
             + ([((r,), 0)] if final else []) for r in range(n + 1)]
 
@@ -135,14 +135,13 @@ def count_brute(n: int, constraint: ScaledConstraint | ResidueSystem) -> int:
     >>> count_brute(6, ScaledConstraint(2, 3))
     7
     """
-    blocks = _blocks(n, constraint)
+    blocks, final = _blocks(n, constraint)
     fits = [0] * (n + 1)  # fits[m]: the admissible blocks of size m
     for _, size in blocks:
         fits[size] += 1
     # From remainder r the fits[r] blocks of size r end a composition, as does the Arndt
     # side's final part r (and for n = 0 the empty prefix). inner[r] lists the remainders
     # the others leave, largest first: row r - 1 shifted up by one, then fits[r - 1] ones.
-    final = isinstance(constraint, ScaledConstraint)
     ends, inner = [1], [[]]
     for r in range(1, n + 1):
         ends.append(fits[r] + final)

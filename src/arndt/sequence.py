@@ -34,7 +34,7 @@ from collections.abc import Iterator, Sequence
 from itertools import islice
 from operator import sub
 
-from .core import ScaledConstraint, _require_pure, _Value, residue_system
+from .core import ScaledConstraint, _ints, _require_pure, _Value, residue_system
 from .enumeration import count_brute
 
 __all__ = [
@@ -64,6 +64,7 @@ class RationalGF(_Value):
             raise ValueError("denominator constant term must be 1")
         if not numerator or numerator[0] != 1:
             raise ValueError("numerator constant term must be 1, so that a(0) = 1")
+        _ints((*numerator, *denominator), "coefficients must be ints, got {!r}")
         super().__init__(constraint, numerator, denominator)
 
 
@@ -184,7 +185,7 @@ def count_recurrence(
     _require_pure(cons)  # before the cache is read
     _check_range(0, n)
     if cache is None:
-        return next(islice(_run(*_form(cons, n), n), n, None))
+        return sequence_range(cons, n, n)[0]
     if n not in cache:
         num, taps = _form(cons, n)
         j, w = len(cache), max((i for i, _ in taps if i <= n), default=0)  # a(n)'s reach

@@ -182,6 +182,22 @@ def test_congruence_side_lists_parts_without_membership_tests(monkeypatch):
             assert count_brute(n, rs) == expected, (s, t, n)
 
 
+@pytest.mark.parametrize("final", [True, False])
+def test_walks_take_their_side_from_blocks(monkeypatch, final):
+    # A stand-in constraint of neither type gets (1, 1)'s pair blocks and a side from
+    # _blocks alone: with the final part, the (1, 1) stream; without, its even-length part.
+    streams = {n: parts_list(arndt_compositions(n, ScaledConstraint(1, 1))) for n in range(13)}
+    pairs = arndt.enumeration._blocks
+    monkeypatch.setattr(
+        arndt.enumeration, "_blocks", lambda n, c: (pairs(n, ScaledConstraint(1, 1))[0], final)
+    )
+    stand_in = object()
+    for n, every in streams.items():
+        expected = [p for p in every if final or len(p) % 2 == 0]
+        assert parts_list(arndt_compositions(n, stand_in)) == expected
+        assert count_brute(n, stand_in) == len(expected)
+
+
 class TestCongruenceCompositions:
     def test_table_row_for_two_three(self):
         rs = residue_system(ScaledConstraint(2, 3))

@@ -145,11 +145,36 @@ def test_keyword_construction_and_defaults():
         (lambda: RationalGF(SC, (1,), (2,)), "denominator constant term must be 1"),
         (lambda: RationalGF(SC, (0,), (1,)), "numerator constant term must be 1"),
         (lambda: SeriesExpansion(SC, ()), r"series must start with .* a\(0\) = 1"),
+        # Fields of exact type int only: a float or bool equal to a valid int is refused.
+        (lambda: ArndtPair(2.5, 1), r"a and b must be ints, got \(2\.5, 1\)"),
+        (lambda: ArndtPair(1, True), r"a and b must be ints, got \(1, True\)"),
+        (lambda: OnesBlock(1.5), r"ones and anchor must be ints: \(1\.5,\)"),
+        (lambda: OnesBlock(True, 3), r"ones and anchor must be ints: \(True, 3\)"),
+        (lambda: OnesBlock(0, 3.0), r"ones and anchor must be ints: \(0, 3\.0\)"),
+        (lambda: ResidueSystem(5.0, (1, 3)), r"modulus and residues must be ints, got \(5\.0,"),
+        (lambda: ResidueSystem(5, (True, 3)), r"modulus and residues must be ints, got \(5, True"),
+        (lambda: RationalGF(SC, (1, 0.5), (1, -1)), r"coefficients must be ints, got \(1, 0\.5,"),
+        (lambda: RationalGF(SC, (True,), (1,)), r"coefficients must be ints, got \(True, 1\)"),
     ],
 )
 def test_constructors_validate(make, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         make()
+
+
+def test_constructors_refuse_numpy_ints():
+    np = pytest.importorskip("numpy")
+    one = np.int64(1)
+    for make in (
+        lambda: ArndtPair(one, 1),
+        lambda: OnesBlock(one),
+        lambda: OnesBlock(1, np.int64(3)),
+        lambda: ResidueSystem(np.int64(5), (1, 3)),
+        lambda: ResidueSystem(5, (one, 3)),
+        lambda: RationalGF(SC, (one,), (1,)),
+    ):
+        with pytest.raises(ValueError, match="must be ints"):
+            make()
 
 
 def test_loading_a_pickle_validates_its_fields():
@@ -183,6 +208,16 @@ def new_modules(statement: str) -> set[str]:
         ("import arndt", {"dataclasses", "inspect", "ast", "dis", "json", "typing", "re"}),
         # argparse imports re itself, so only typing is the library's to avoid.
         ("import arndt.cli", {"dataclasses", "inspect", "json", "typing"}),
+        # enumerate --format json writes JSON text without the json module.
+        pytest.param(
+            "import io; from arndt.cli import main; sys.stdout = io.StringIO(); "
+            "code = main(['enumerate', '-s', '2', '-t', '3', '-n', '6', '--format', 'json']); "
+            "out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__; "
+            "assert (code, out) == (0, '[[2, 1, 2, 1], [2, 1, 3], [3, 1, 2], [4, 1, 1], "
+            "[4, 2], [5, 1], [6]]\\n'), out",
+            {"dataclasses", "inspect", "json", "typing"},
+            id="enumerate-format-json",
+        ),
     ],
 )
 def test_import_loads_no_heavy_modules(statement, unwanted):
