@@ -231,11 +231,19 @@ class ResidueSystem(_Value):
     __slots__ = __match_args__ = ("modulus", "residues")
 
     def __init__(self, modulus: int, residues: tuple[int, ...]) -> None:
-        rs = _ints((modulus, *residues), "modulus and residues must be ints, got {!r}")[1:]
+        rs = tuple(residues)  # a tuple is not copied; the check copies it once, with the modulus
+        _ints((modulus, *rs), "modulus and residues must be ints, got {!r}")
         s = len(rs)
         if not 0 < s < modulus or any(m != 1 + r * modulus // s for r, m in enumerate(rs)):
             raise ValueError(f"residues[r] must be 1 + r*{modulus}//s, 0 <= r < s < {modulus}")
         super().__init__(modulus, rs)
+
+    @classmethod
+    def _from_checked(cls, modulus: int, residues: tuple[int, ...]) -> "ResidueSystem":
+        """Unchecked, for residue_system's tuple: the closed form that __init__ checks."""
+        self = object.__new__(cls)
+        _Value.__init__(self, modulus, residues)
+        return self
 
     def contains(self, part: int) -> bool:
         """True iff ``part`` (>= 1) falls in one of the residue classes."""
@@ -284,4 +292,4 @@ def residue_system(cons: ScaledConstraint) -> ResidueSystem:
     """
     _require_pure(cons)
     s, m = cons.s, cons.s + cons.t
-    return ResidueSystem(m, tuple(1 + r * m // s for r in range(s)))
+    return ResidueSystem._from_checked(m, tuple(1 + r * m // s for r in range(s)))

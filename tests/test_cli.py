@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 from arndt.cli import main
-from arndt.core import ScaledConstraint
+from arndt.core import ResidueSystem, ScaledConstraint
 from arndt.sequence import export_bfile
 
-from _reference import arndt_ok, bitmask_compositions, congruence_ok, fib, residue_list
+from _reference import (
+    arndt_ok, bitmask_compositions, ceil_div, congruence_ok, fib, residue_list,
+)
 
 ARNDT_LINES = "2,1,2,1\n2,1,3\n3,1,2\n4,1,1\n4,2\n5,1\n6\n"
 CONGRUENCE_LINES = "1,1,1,1,1,1\n1,1,1,3\n1,1,3,1\n1,3,1,1\n3,1,1,1\n3,3\n6\n"
@@ -139,6 +141,24 @@ class TestEnumerate:
         monkeypatch.setattr("arndt.cli.residue_system", refused)
         code, out, err = run(capsys, "enumerate", "--congruence", "-s", "1000000", "-t", "1", "-n", n)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("t", [2, 999999999998], ids=["every-part", "even-parts"])
+    def test_congruence_at_a_huge_s_builds_no_residues(self, capsys, monkeypatch, t):
+        # At s = 999999999999 the residue system is a tuple of about 10**12 ints, and the
+        # walk reads only s and s+t.  Parts <= 6 are residues r + ceil((r*t + 1)/s), r < 6,
+        # below the modulus: every part for t = 2 (all 32 compositions), 1, 2, 4, 6 for s - 1.
+        def refused(*args):
+            raise AssertionError("residue system built")
+
+        monkeypatch.setattr("arndt.cli.residue_system", refused)
+        monkeypatch.setattr(ResidueSystem, "__init__", refused)
+        s = 999999999999
+        residues = {r + ceil_div(r * t + 1, s) for r in range(6)}
+        argv = ["enumerate", "--congruence", "-s", str(s), "-t", str(t), "-n", "6"]
+        code, out, err = run(capsys, *argv)
+        expected = sorted(p for p in bitmask_compositions(6) if congruence_ok(p, residues, s + t))
+        assert len(expected) == (32 if t == 2 else 19)
+        assert (code, out, err) == (0, "".join(f"{','.join(map(str, p))}\n" for p in expected), "")
 
     def test_lines(self, capsys):
         code, out, _ = run(capsys, "enumerate", "-s", "2", "-t", "3", "-n", "6")

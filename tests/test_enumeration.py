@@ -4,6 +4,7 @@ import pytest
 
 from arndt.core import Composition, ResidueSystem, ScaledConstraint, residue_system, satisfies
 import arndt.enumeration
+import arndt.sequence
 from arndt.enumeration import (
     BRUTE_FORCE_CEILING,
     BruteForceCeilingError,
@@ -164,6 +165,42 @@ def test_count_brute_past_the_bitmask_oracle(s, t):
         for k in (-3, 3):
             affine = ScaledConstraint(s, t, k)
             assert count_brute(n, affine) == sum(1 for _ in arndt_compositions(n, affine))
+
+
+@pytest.mark.parametrize("s,t,ns", [(7, 1, (19, 20, 21)), (2, 3, (22,))], ids=["7-1", "2-3"])
+def test_count_brute_at_the_benchmark_shapes(s, t, ns):
+    # Past n = 18, at the dense counts the benchmark spends its time on: both sides
+    # against the reference recurrence.
+    cons = ScaledConstraint(s, t)
+    rs = residue_system(cons)
+    expected = congruence_counts(s, t, max(ns))
+    for n in ns:
+        assert count_brute(n, cons) == expected[n]
+        assert count_brute(n, rs) == expected[n]
+
+
+def test_count_brute_admits_every_composition_past_twenty():
+    # With k far below 0 every pair passes: the widest tree, up to 2**22 compositions.
+    cons = ScaledConstraint(1, 1, -10**6)
+    for n in (21, 22, 23):
+        assert count_brute(n, cons) == 2 ** (n - 1)
+
+
+def test_count_brute_reads_no_term_engine(monkeypatch):
+    # An oracle for the recurrence stays independent of it: with the engine's closed-form
+    # taps (_form) and its term runs (_run) patched to fail, both sides still match the
+    # reference recurrence on the s + t <= 8 grid.
+    def engine(*args, **kwargs):
+        raise AssertionError("term engine called")
+
+    monkeypatch.setattr(arndt.sequence, "_form", engine)
+    monkeypatch.setattr(arndt.sequence, "_run", engine)
+    for s, t in coprime_pairs(8):
+        cons = ScaledConstraint(s, t)
+        rs = residue_system(cons)
+        for n, expected in enumerate(congruence_counts(s, t, 18)):
+            assert count_brute(n, cons) == expected, (s, t, n)
+            assert count_brute(n, rs) == expected, (s, t, n)
 
 
 def test_congruence_side_lists_parts_without_membership_tests(monkeypatch):
