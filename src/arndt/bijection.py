@@ -12,10 +12,13 @@ which is q*(s+t) + m_r for b = q*s + r (0 <= r < s); a trailing unpaired
 part m becomes a run of m ones.  Since anchor = b + floor(b*t/s) + 1, the
 run length a + b - anchor is nonnegative exactly when s*a > t*b.
 
-Backward: scan left to right, grouping each maximal run of ones with the
-next part >= 2 into a block (1^c, d).  The anchor's rank
-b = ceil((d - 1)*s/(s+t)) inverts the forward formula: d lies in the
-system exactly when 1 + floor(b*(s+t)/s) = d, and then a = c + d - b.  A
+Backward: group each maximal run of ones with the next part >= 2 into a
+block (1^c, d), with no Python step per part.  A byte mask marks anchors
+1 and ones 0 (by a 256-byte table when all parts are below 256, else by
+comparing each part with 1); its pieces between 1s are the runs c.  The
+anchor's rank b = ceil((d - 1)*s/(s+t)), once per distinct anchor in
+first-seen order, inverts the forward formula: d lies in the system
+exactly when 1 + floor(b*(s+t)/s) = d, and then a = c + d - b.  A
 trailing run of ones with no anchor maps to the single part c.  Parts
 equal to 1 are never anchors, even though 1 itself is an admissible
 residue; anchors with residue 1 are exactly the parts 1 + q*(s+t), q >= 1.
@@ -25,13 +28,15 @@ Both directions check their input, build valid output unchecked, and need k = 0.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import accumulate, chain, compress, islice
+from operator import add, sub
 
 from .core import Composition, ScaledConstraint, _ints, _rank, _require_pure, _Value
 
 __all__ = ["ArndtPair", "OnesBlock", "map_pair", "unmap_block", "forward", "backward"]
 
 MAX_IMAGE_PARTS = 10**7  # forward's limit: a pair (a, b) becomes up to a + b parts
+_IS_ANCHOR = bytes(2) + b"\x01" * 254  # backward's byte mask: part 1 -> 0, each part >= 2 -> 1
 
 
 class ArndtPair(_Value):
@@ -142,15 +147,17 @@ def backward(c: Composition, cons: ScaledConstraint) -> Composition:
     '2,1,2,1'
     """
     _require_pure(cons)
-    s, modulus = cons.s, cons.s + cons.t
-    out, ones = [], 0
-    for p in c.parts:
-        if p == 1:
-            ones += 1
-        else:
-            b = _rank(p, s, modulus)  # raises for anchors outside the system
-            out += (ones + p - b, b)
-            ones = 0
-    if ones:
-        out.append(ones)
+    s, modulus, parts = cons.s, cons.s + cons.t, c.parts
+    try:  # every part below 256: byte scans (compress() here measured 1.25x slower)
+        data = bytes(parts)
+        mask, anchors = data.translate(_IS_ANCHOR), data.translate(None, b"\x01")
+    except ValueError:  # a part of 256 or more
+        mask = bytes(map((1).__lt__, parts))
+        anchors = list(compress(parts, mask))
+    ones = list(map(len, mask.split(b"\x01")))  # the run before each anchor, then the trailing run
+    ranks = {p: _rank(p, s, modulus) for p in dict.fromkeys(anchors)}
+    bs = list(map(ranks.__getitem__, anchors))
+    out = list(chain.from_iterable(zip(map(add, ones, map(sub, anchors, bs)), bs)))
+    if ones[-1]:
+        out.append(ones[-1])
     return Composition._from_checked(tuple(out))

@@ -78,7 +78,8 @@ def cmd_enumerate(args, cons: ScaledConstraint) -> None:
             sep = ", "
         sys.stdout.write("]\n")
     else:
-        sys.stdout.writelines(f"{c}\n" for c in stream)
+        while text := "".join(f"{c}\n" for c in islice(stream, 256)):
+            sys.stdout.write(text)
 
 
 def cmd_map(args, cons: ScaledConstraint) -> None:

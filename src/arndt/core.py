@@ -134,7 +134,7 @@ class Composition(_Value):
         return cls(tuple(map(int, fields)))
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(map(str, self.parts))
 
     def __len__(self) -> int:
         return len(self.parts)

@@ -208,6 +208,56 @@ class TestBackward:
         with pytest.raises(ValueError, match="k = 0"):
             backward(Composition((1, 1)), ScaledConstraint(1, 1, k=1))
 
+    # backward scans an image as bytes when every part is below 256 and
+    # through a mask built by comparing each part with 1 otherwise; both
+    # scans must give the same blocks and errors.
+    @pytest.mark.parametrize(
+        "pair, image, preimage",
+        [
+            ((2, 3), (), ()),
+            ((2, 3), (1, 1, 3, 1, 1), (4, 1, 2)),
+            ((1, 300), (1, 1, 302, 1), (303, 1, 1)),
+            ((1, 253), (255, 1), (254, 1, 1)),
+            ((1, 254), (1, 256), (256, 1)),
+            ((2, 3), (1, 253, 1, 256, 1, 1), (153, 101, 155, 102, 2)),
+        ],
+    )
+    def test_both_scans_at_their_edges(self, pair, image, preimage):
+        assert forward_image(preimage, *pair) == image
+        result = backward(Composition(image), ScaledConstraint(*pair))
+        assert result.parts == preimage
+        assert_checked(result)
+
+    @pytest.mark.parametrize(
+        "parts, first",
+        [
+            ((3, 2, 1, 302), 2),
+            ((3, 302, 1, 2), 302),
+            ((1, 255, 3, 259), 255),
+            ((259, 3, 255, 1), 259),
+        ],
+    )
+    def test_names_the_first_part_outside_the_system(self, parts, first):
+        # Under (2, 3) the parts 2, 255, 259 and 302 lie outside the system;
+        # each composition holds one below 256 and one at or above it.
+        with pytest.raises(ValueError, match=rf"^part {first} outside residue system"):
+            backward(Composition(parts), ScaledConstraint(2, 3))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_round_trips_with_anchors_around_256(self, data):
+        # Every anchor of (1, 254), (1, 255) and (1, 300) is 256 or more; the
+        # anchors of (2, 3) with b up to 200 lie on both sides of 256, and
+        # large excesses give long runs of ones.
+        s, t = data.draw(st.sampled_from([(1, 254), (1, 255), (1, 300), (2, 3)]))
+        pairs = st.tuples(st.integers(1, 3 if s == 1 else 200), st.integers(0, 300))
+        parts = []
+        for b, excess in data.draw(st.lists(pairs, max_size=12)):
+            parts += (t * b // s + 1 + excess, b)
+        parts += data.draw(st.lists(st.integers(1, 300), max_size=1))
+        image = forward_image(tuple(parts), s, t)
+        assert backward(Composition(image), ScaledConstraint(s, t)).parts == tuple(parts)
+
     def test_many_anchors_at_large_s_stay_fast(self):
         # 2000 anchors under (10**6, 1): each anchor's rank is closed-form
         # arithmetic on s and t, not a lookup among 10**6 residues.
@@ -256,6 +306,17 @@ class TestBijectionExhaustive:
                 assert_checked(d)
                 assert_checked(backward(d, cons))
                 assert_checked(forward(backward(d, cons), cons))
+
+    @pytest.mark.parametrize("pair", coprime_pairs(8))
+    def test_pairs_become_the_parts_above_one(self, pair):
+        # The bijection's statistic: an Arndt composition with j complete
+        # pairs maps to a congruence composition with exactly j parts >= 2.
+        cons = ScaledConstraint(*pair)
+        for n in range(13):
+            for c in arndt_compositions(n, cons):
+                assert len(c) // 2 == sum(p >= 2 for p in forward(c, cons).parts)
+            for d in congruence_compositions(n, residue_system(cons)):
+                assert sum(p >= 2 for p in d.parts) == len(backward(d, cons)) // 2
 
     def test_all_compositions_pass_the_public_check(self):
         for n in range(0, self.N_MAX + 1):
