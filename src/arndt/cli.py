@@ -22,7 +22,7 @@ from math import gcd
 
 from .bijection import backward, forward
 from .core import Composition, ScaledConstraint, normalize, residue_system
-from .enumeration import _part_blocks, _require_walkable, _steps, _walk, arndt_compositions
+from .enumeration import arndt_compositions, congruence_compositions
 # export_bfile is unused here, but bench/worker.py's traced run patches
 # arndt.cli.export_bfile, so the name stays importable from this module.
 from .sequence import export_bfile, sequence_range, write_bfile  # noqa: F401
@@ -63,11 +63,7 @@ def cmd_count(args, cons: ScaledConstraint) -> None:
 
 
 def cmd_enumerate(args, cons: ScaledConstraint) -> None:
-    if args.congruence:
-        _require_walkable(args.n)  # congruence_compositions' walk, from s and s+t: no s-tuple
-        stream = _walk(args.n, _steps(args.n, _part_blocks(args.n, cons.s, cons.s + cons.t)))
-    else:
-        stream = arndt_compositions(args.n, cons)
+    stream = (congruence_compositions if args.congruence else arndt_compositions)(args.n, cons)
     if args.format == "json":
         # The bytes of json.dumps(list), written as the stream runs: each chunk's
         # str (its JSON: it holds only lists of ints) without brackets, joined by ", ".

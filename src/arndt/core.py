@@ -218,6 +218,11 @@ def _rank(part: int, s: int, modulus: int) -> int:
     return b
 
 
+def _check_part(part: int) -> None:
+    if _ints((part,), "parts are positive integers, got {0[0]!r}")[0] < 1:  # exact ints only
+        raise ValueError(f"parts are positive integers, got {part}")
+
+
 class ResidueSystem(_Value):
     """The part residues modulo s+t admissible for a coprime pair (s, t).
 
@@ -246,9 +251,8 @@ class ResidueSystem(_Value):
         return self
 
     def contains(self, part: int) -> bool:
-        """True iff ``part`` (>= 1) falls in one of the residue classes."""
-        if part < 1:
-            raise ValueError(f"parts are positive integers, got {part}")
+        """True iff ``part`` (an exact int >= 1) falls in one of the residue classes."""
+        _check_part(part)
         try:
             _rank(part, len(self.residues), self.modulus)
         except ValueError:
@@ -263,8 +267,7 @@ class ResidueSystem(_Value):
         >>> residue_system(ScaledConstraint(2, 3)).decompose(6)
         (1, 0)
         """
-        if part < 1:
-            raise ValueError(f"parts are positive integers, got {part}")
+        _check_part(part)
         s = len(self.residues)
         return divmod(_rank(part, s, self.modulus), s)
 

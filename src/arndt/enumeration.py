@@ -2,13 +2,13 @@
 
 The generators here are the independent ground truth for everything the
 recurrence and bijection machinery claims.  Every walk reads one list of the
-admissible blocks (part pairs on the Arndt side, single parts on the congruence
-side), and every admissible prefix finishes in a match, so the full set is
-never held: a stream grows the compositions of n depth first, in lexicographic
-part order, from a table of those blocks and pays amortized O(n) per
-composition emitted; ``count_brute`` reads only the blocks' sizes and pays
-O(1) per admissible prefix that leaves a positive remainder.
-Every walk refuses n beyond ``BRUTE_FORCE_CEILING`` when called.
+admissible blocks: part pairs on the Arndt side, and on the congruence side
+the parts 1 + b*(s+t)//s, listed from s and s+t alone.  Every admissible
+prefix finishes in a match, so the full set is never held: a stream grows the
+compositions of n depth first, in lexicographic part order, from a table of
+those blocks and pays amortized O(n) per composition emitted; ``count_brute``
+reads only the blocks' sizes and pays O(1) per admissible prefix that leaves
+a positive remainder.  Every walk refuses n > ``BRUTE_FORCE_CEILING`` when called.
 
 Streams are single-consumer iterators; counting functions are pure.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from operator import index
 
-from .core import Composition, ResidueSystem, ScaledConstraint
+from .core import Composition, ResidueSystem, ScaledConstraint, _require_pure
 
 __all__ = [
     "BRUTE_FORCE_CEILING",
@@ -102,6 +102,7 @@ def _blocks(n: int, constraint: ScaledConstraint | ResidueSystem) -> tuple[list[
 def _part_blocks(n: int, s: int, m: int) -> tuple[list[tuple], bool]:
     # _blocks' congruence side for s classes mod m, from s and m alone (no s-tuple of residues):
     # the parts are 1 + b*m//s for b >= 0, and 1 + b*m//s <= n iff b*m < n*s.
+    _require_walkable(n)
     parts = [1 + b * m // s for b in range((n * s - 1) // m + 1)]
     return [((p,), p) for p in parts], False
 
@@ -117,14 +118,20 @@ def _steps(n: int, side: tuple[list[tuple], bool]) -> list[list]:
 def arndt_compositions(n: int, cons: ScaledConstraint) -> Iterator[Composition]:
     """The compositions of n meeting s*a > t*b + k, lexicographically.
 
-    With k != 0 this is the exploratory affine filter; there is no
-    closed-form counterpart to check it against, only this stream.
+    With k != 0 this is the exploratory affine filter, which no closed form checks.
+    A ResidueSystem raises TypeError: its side is :func:`congruence_compositions`.
     """
+    if isinstance(cons, ResidueSystem):
+        raise TypeError("expected ScaledConstraint, got ResidueSystem: use congruence_compositions")
     return _walk(n, _steps(n, _blocks(n, cons)))
 
 
-def congruence_compositions(n: int, rs: ResidueSystem) -> Iterator[Composition]:
-    """The compositions of n with every part inside ``rs``, lexicographically."""
+def congruence_compositions(n: int, rs: ScaledConstraint | ResidueSystem) -> Iterator[Composition]:
+    """The compositions of n with every part inside ``rs``, lexicographically: a ResidueSystem,
+    or a ScaledConstraint (k = 0 only), read from s and s+t alone with no s-tuple built."""
+    if isinstance(rs, ScaledConstraint):
+        _require_pure(rs)  # residue_system(rs)'s refusal of k != 0, before any walk check
+        return _walk(n, _steps(n, _part_blocks(n, rs.s, rs.s + rs.t)))
     return _walk(n, _steps(n, _blocks(n, rs)))
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from arndt.core import Composition, ResidueSystem, ScaledConstraint, residue_system, satisfies
+import arndt.core
 import arndt.enumeration
 import arndt.sequence
 from arndt.enumeration import (
@@ -17,6 +18,7 @@ from arndt.enumeration import (
 from _reference import (
     arndt_ok,
     bitmask_compositions,
+    ceil_div,
     congruence_counts,
     congruence_ok,
     coprime_pairs,
@@ -254,6 +256,48 @@ class TestCongruenceCompositions:
         assert len(got) == 34
 
 
+@pytest.mark.parametrize("s,t", coprime_pairs(8))
+def test_congruence_side_from_a_constraint_matches_its_system(s, t):
+    # A k = 0 constraint walks from s and s+t; its system walks through _blocks: one stream.
+    cons = ScaledConstraint(s, t)
+    rs = residue_system(cons)
+    for n in range(15):
+        assert parts_list(congruence_compositions(n, cons)) == parts_list(
+            congruence_compositions(n, rs)
+        ), n
+
+
+@pytest.mark.parametrize("t", [2, 999999999998], ids=["every-part", "even-parts"])
+def test_congruence_side_of_a_huge_s_builds_no_residues(monkeypatch, t):
+    # At s = 999999999999 the residue system is a tuple of about 10**12 ints; the stream
+    # of a constraint reads only s and s+t, so no route that builds a system is taken.
+    def refused(*args):
+        raise AssertionError("residue system built")
+
+    monkeypatch.setattr(arndt.core, "residue_system", refused)
+    monkeypatch.setattr(arndt.enumeration, "residue_system", refused, raising=False)
+    monkeypatch.setattr(ResidueSystem, "__init__", refused)
+    monkeypatch.setattr(ResidueSystem, "_from_checked", refused)
+    s = 999999999999
+    residues = {r + ceil_div(r * t + 1, s) for r in range(6)}
+    expected = sorted(p for p in bitmask_compositions(6) if congruence_ok(p, residues, s + t))
+    assert len(expected) == (32 if t == 2 else 19)
+    assert parts_list(congruence_compositions(6, ScaledConstraint(s, t))) == expected
+
+
+def test_congruence_side_of_a_constraint_refuses_in_order():
+    # k != 0 first, with residue_system's message, even past the ceiling; then the walk's checks.
+    with pytest.raises(ValueError, match="defined only for offset k = 0") as stream:
+        congruence_compositions(27, ScaledConstraint(1, 1, 1))
+    with pytest.raises(ValueError) as system:
+        residue_system(ScaledConstraint(1, 1, 1))
+    assert (type(stream.value), str(stream.value)) == (ValueError, str(system.value))
+    with pytest.raises(BruteForceCeilingError, match="ceiling is n = 26"):
+        congruence_compositions(27, ScaledConstraint(1, 1))
+    with pytest.raises(ValueError, match="cannot compose a negative total: -1"):
+        congruence_compositions(-1, ScaledConstraint(2, 3))
+
+
 class TestCountBrute:
     def test_listed_count(self):
         assert count_brute(6, ScaledConstraint(2, 3)) == 7
@@ -367,3 +411,6 @@ class TestCountBrute:
             count_brute(5, None)
         with pytest.raises(TypeError):
             arndt_compositions(5, None)
+        # A residue system stands for the congruence side, which count_brute also takes.
+        with pytest.raises(TypeError, match="got ResidueSystem"):
+            arndt_compositions(5, residue_system(ScaledConstraint(2, 3)))

@@ -5,6 +5,7 @@ validation, pickle and copy; and what importing the package loads."""
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -175,6 +176,27 @@ def test_constructors_refuse_numpy_ints():
     ):
         with pytest.raises(ValueError, match="must be ints"):
             make()
+
+
+@pytest.mark.parametrize("part", [3.0, 8.0, True, False, 0, -1])
+def test_residue_lookups_take_exact_int_parts(part):
+    # contains and decompose take what the constructors take: an exact int, here >= 1.
+    rs = ResidueSystem(5, (1, 3))
+    assert (rs.contains(8), rs.decompose(8)) == (True, (1, 1))
+    message = f"^parts are positive integers, got {re.escape(repr(part))}$"
+    for lookup in (rs.contains, rs.decompose):
+        with pytest.raises(ValueError, match=message):
+            lookup(part)
+
+
+def test_residue_lookups_refuse_numpy_ints():
+    np = pytest.importorskip("numpy")
+    rs = ResidueSystem(5, (1, 3))
+    for part in (np.int64(8), np.int64(3), np.int32(0)):
+        with pytest.raises(ValueError, match="parts are positive integers"):
+            rs.contains(part)
+        with pytest.raises(ValueError, match="parts are positive integers"):
+            rs.decompose(part)
 
 
 def test_loading_a_pickle_validates_its_fields():
