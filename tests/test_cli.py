@@ -147,11 +147,15 @@ class TestEnumerate:
         # At s = 999999999999 the residue system is a tuple of about 10**12 ints, and the
         # walk reads only s and s+t.  Parts <= 6 are residues r + ceil((r*t + 1)/s), r < 6,
         # below the modulus: every part for t = 2 (all 32 compositions), 1, 2, 4, 6 for s - 1.
+        # Under every name a module binds, residue_system fails rather than run out of memory.
         def refused(*args):
             raise AssertionError("residue system built")
 
-        monkeypatch.setattr("arndt.cli.residue_system", refused)
+        for module in ("arndt", "arndt.core", "arndt.cli", "arndt.sequence"):
+            monkeypatch.setattr(f"{module}.residue_system", refused)
+        monkeypatch.setattr("arndt.enumeration.residue_system", refused, raising=False)
         monkeypatch.setattr(ResidueSystem, "__init__", refused)
+        monkeypatch.setattr(ResidueSystem, "_from_checked", refused)
         s = 999999999999
         residues = {r + ceil_div(r * t + 1, s) for r in range(6)}
         argv = ["enumerate", "--congruence", "-s", str(s), "-t", str(t), "-n", "6"]

@@ -167,6 +167,11 @@ def test_count_brute_past_the_bitmask_oracle(s, t):
         for k in (-3, 3):
             affine = ScaledConstraint(s, t, k)
             assert count_brute(n, affine) == sum(1 for _ in arndt_compositions(n, affine))
+    # At k = 100 the smallest pair is large or absent, so the root itself can be a leaf and
+    # most remainders are: up to the ceiling, count_brute adds them at their parent.
+    sparse = ScaledConstraint(s, t, 100)
+    for n in range(13, BRUTE_FORCE_CEILING + 1):
+        assert count_brute(n, sparse) == sum(1 for _ in arndt_compositions(n, sparse)), n
 
 
 @pytest.mark.parametrize("s,t,ns", [(7, 1, (19, 20, 21)), (2, 3, (22,))], ids=["7-1", "2-3"])
@@ -270,11 +275,13 @@ def test_congruence_side_from_a_constraint_matches_its_system(s, t):
 @pytest.mark.parametrize("t", [2, 999999999998], ids=["every-part", "even-parts"])
 def test_congruence_side_of_a_huge_s_builds_no_residues(monkeypatch, t):
     # At s = 999999999999 the residue system is a tuple of about 10**12 ints; the stream
-    # of a constraint reads only s and s+t, so no route that builds a system is taken.
+    # of a constraint reads only s and s+t, so no route that builds a system is taken:
+    # under every name a module binds, residue_system fails rather than run out of memory.
     def refused(*args):
         raise AssertionError("residue system built")
 
-    monkeypatch.setattr(arndt.core, "residue_system", refused)
+    for module in ("arndt", "arndt.core", "arndt.cli", "arndt.sequence"):
+        monkeypatch.setattr(f"{module}.residue_system", refused)
     monkeypatch.setattr(arndt.enumeration, "residue_system", refused, raising=False)
     monkeypatch.setattr(ResidueSystem, "__init__", refused)
     monkeypatch.setattr(ResidueSystem, "_from_checked", refused)
