@@ -206,6 +206,11 @@ def satisfies(c: Composition, cons: ScaledConstraint) -> bool:
     return all(s * p[i] > t * p[i + 1] + k for i in range(0, len(p) - 1, 2))
 
 
+def _congruence_parts(s: int, m: int, stop: int) -> list[int]:
+    # The parts 1 + b*m//s <= stop of s classes mod m, b ascending: those with b*m < stop*s.
+    return [1 + b * m // s for b in range((stop * s - 1) // m + 1)]
+
+
 def _rank(part: int, s: int, modulus: int) -> int:
     # The b with part = 1 + floor(b*modulus/s), i.e. b = ceil((part-1)*s/modulus);
     # a part not of that form lies outside the system.
@@ -239,7 +244,7 @@ class ResidueSystem(_Value):
         rs = tuple(residues)  # a tuple is not copied; the check copies it once, with the modulus
         _ints((modulus, *rs), "modulus and residues must be ints, got {!r}")
         s = len(rs)
-        if not 0 < s < modulus or any(m != 1 + r * modulus // s for r, m in enumerate(rs)):
+        if not 0 < s < modulus or list(rs) != _congruence_parts(s, modulus, modulus):
             raise ValueError(f"residues[r] must be 1 + r*{modulus}//s, 0 <= r < s < {modulus}")
         super().__init__(modulus, rs)
 
@@ -295,4 +300,4 @@ def residue_system(cons: ScaledConstraint) -> ResidueSystem:
     """
     _require_pure(cons)
     s, m = cons.s, cons.s + cons.t
-    return ResidueSystem._from_checked(m, tuple(1 + r * m // s for r in range(s)))
+    return ResidueSystem._from_checked(m, tuple(_congruence_parts(s, m, m)))

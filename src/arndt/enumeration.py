@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from operator import index
 
-from .core import Composition, ResidueSystem, ScaledConstraint, _require_pure
+from .core import Composition, ResidueSystem, ScaledConstraint, _congruence_parts, _require_pure
 
 __all__ = [
     "BRUTE_FORCE_CEILING",
@@ -100,11 +100,9 @@ def _blocks(n: int, constraint: ScaledConstraint | ResidueSystem) -> tuple[list[
 
 
 def _part_blocks(n: int, s: int, m: int) -> tuple[list[tuple], bool]:
-    # _blocks' congruence side for s classes mod m, from s and m alone (no s-tuple of residues):
-    # the parts are 1 + b*m//s for b >= 0, and 1 + b*m//s <= n iff b*m < n*s.
+    # _blocks' congruence side for s classes mod m, from s and m alone (no s-tuple of residues).
     _require_walkable(n)
-    parts = [1 + b * m // s for b in range((n * s - 1) // m + 1)]
-    return [((p,), p) for p in parts], False
+    return [((p,), p) for p in _congruence_parts(s, m, n)], False
 
 
 def _steps(n: int, side: tuple[list[tuple], bool]) -> list[list]:

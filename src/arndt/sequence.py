@@ -14,13 +14,13 @@ so both routes are the one loop in ``_run``.  Note the m_0 = 1 term
 belongs in the sum: dropping it breaks even the Fibonacci case (1, 1).
 
 That recurrence has s+1 taps: s big-number operations a term.  For s > t
-the residues form t runs of consecutive integers from 1 to s+t-1, split
-at e_j = ceil(js/t) + j for j = 1..t-1, and (1 - x) times both
-polynomials telescopes each run to its ends: 2t taps, +2 at 1, -1 at
-each e_j and +1 at e_j + 1, and -1 at s+t+1; one doubling and 2t-1
-additions, as a(n) = 2a(n-1) - a(n-9) for (7, 1).  So ``_form``
-telescopes iff s > 2t; for s <= t it would only add taps.  Each request
-names its last index n, and ``_form`` lists only the taps a(n) can read.
+the residues form t runs of consecutive integers from 1 to s+t-1, split at
+the swapped pair (t, s)'s residues e_j = 1 + floor(j(s+t)/t), j = 1..t-1,
+and (1 - x) times both polynomials telescopes each run to its ends: 2t
+taps, +2 at 1, -1 at each e_j and +1 at e_j + 1, and -1 at s+t+1; one
+doubling and 2t-1 additions, as a(n) = 2a(n-1) - a(n-9) for (7, 1).  So
+``_form`` telescopes iff s > 2t; for s <= t it would only add taps.  Each
+request names its last index n; ``_form`` lists only the taps a(n) reads.
 
 Everything is exact; counts never overflow.  B-files run the same loop
 on ``Decimal``s that trap any rounding, since printing one is linear in
@@ -32,9 +32,9 @@ from __future__ import annotations
 import io
 from collections.abc import Iterator, Sequence
 from itertools import islice
-from operator import sub
+from operator import index, sub
 
-from .core import ScaledConstraint, _ints, _require_pure, _Value, residue_system
+from .core import ScaledConstraint, _congruence_parts, _ints, _require_pure, _Value, residue_system
 from .enumeration import count_brute
 
 __all__ = [
@@ -101,20 +101,18 @@ def build_gf(cons: ScaledConstraint) -> RationalGF:
 
 
 def _form(cons: ScaledConstraint, stop: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
-    """The numerator {degree: coefficient} and taps [(j, d)], j ascending,
-    of the form the engine runs, built from the closed forms above in
-    O(min(s, t, stop)): telescoped iff s > 2t.  Of the taps past ``stop``,
-    which a(0)..a(stop) never read, it lists at most two.  Refuses k != 0."""
+    """The numerator {degree: coefficient} and taps [(j, d)], j ascending, of the
+    form the engine runs, in O(min(s, t, stop)): the parts of (s, t) up to stop, or
+    iff s > 2t telescoped, split at those of (t, s) past 1.  Of the taps past
+    ``stop``, which a(0)..a(stop) never read, it lists at most two.  Refuses k != 0."""
     _require_pure(cons)
     s, t = cons.s, cons.t
     m = s + t
-    if s <= 2 * t:  # 1 + r*m//s <= stop iff r*m < stop*s
-        taps = [(1 + r * m // s, 1) for r in range(min(s, (stop * s - 1) // m + 1))]
+    if s <= 2 * t:
+        taps = [(p, 1) for p in _congruence_parts(s, m, min(stop, m))]
         return {0: 1, m: -1}, taps + [(m, 1)]
-    taps = [(1, 2)]
-    for j in range(1, min(t, stop * t // m + 1)):  # e_j <= stop iff j*m <= stop*t
-        e = -(-j * s // t) + j
-        taps += [(e, -1), (e + 1, 1)]
+    splits = _congruence_parts(t, m, min(stop, m))[1:]  # e_j for j >= 1: the parts of (t, s)
+    taps = [(1, 2)] + [tap for e in splits for tap in ((e, -1), (e + 1, 1))]
     return {0: 1, 1: -1, m: -1, m + 1: 1}, taps + [(m + 1, -1)]
 
 
@@ -197,7 +195,7 @@ def count_recurrence(
 
 
 def _check_range(n_lo: int, n_hi: int) -> None:
-    if n_lo < 0 or n_lo > n_hi:
+    if index(n_hi) < index(n_lo) or n_lo < 0:  # index: a float is a TypeError, a bool an int
         raise ValueError(f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
 
 

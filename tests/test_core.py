@@ -259,10 +259,15 @@ class TestResidueSystem:
             assert len(set(r % rs.modulus for r in rs.residues)) == s
 
     def test_agrees_with_reference_formula(self):
-        # The reference keeps the paper's form r + ceil((r*t + 1)/s).
-        for s, t in coprime_pairs(12) + [(1000, 7), (7, 1000), (997, 1000), (1999, 2)]:
-            rs = residue_system(ScaledConstraint(s, t))
-            assert list(rs.residues) == residue_list(s, t)
+        # The reference keeps the paper's form r + ceil((r*t + 1)/s).  The
+        # swapped pair's residues past its first, 1, are the rest of 1..s+t-1:
+        # the two systems split it, as the telescoped recurrence reads them.
+        for s, t in coprime_pairs(60) + [(1000, 7), (7, 1000), (997, 1000), (1999, 2)]:
+            rs = residue_system(ScaledConstraint(s, t)).residues
+            swapped = residue_system(ScaledConstraint(t, s)).residues
+            assert list(rs) == residue_list(s, t) and list(swapped) == residue_list(t, s)
+            assert set(rs).isdisjoint(swapped[1:])
+            assert sorted(rs + swapped[1:]) == list(range(1, s + t))
 
     def test_validation_rejects_malformed_systems(self):
         with pytest.raises(ValueError):

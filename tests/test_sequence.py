@@ -5,7 +5,7 @@ import sys
 import time
 import tracemalloc
 from decimal import MAX_PREC, Decimal, Inexact, localcontext
-from itertools import islice
+from itertools import count, islice, takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +26,7 @@ from arndt.sequence import (
     sequence_range,
 )
 
-from _reference import congruence_counts, coprime_pairs, fib, residue_list
+from _reference import ceil_div, congruence_counts, coprime_pairs, fib, residue_list
 
 # Series coefficients 0..9 for the four pairs with s + t = 5.
 SERIES_SUM_FIVE = {
@@ -150,6 +150,28 @@ class TestTermStream:
             started = time.process_time()
             assert count_recurrence(ScaledConstraint(*pair), n) == want
             assert time.process_time() - started < 2.0, pair
+
+    def test_huge_t_short_request_reads_only_its_parts(self):
+        # A short request of a huge s and t: a(0..30) counts compositions into
+        # the parts up to 30, the paper's r + ceil((r*t + 1)/s), all below s + t.
+        # (2*10**9 + 1, 10**9) runs telescoped and (10**9, 10**9 + 1) dense;
+        # each route takes about 0.01 s and 140 kB.
+        n = 30
+        for (s, t), last in [((2 * 10**9 + 1, 10**9), 171267522), ((10**9, 10**9 + 1), fib(n))]:
+            parts = list(takewhile(lambda p: p <= n, (r + ceil_div(r * t + 1, s) for r in count())))
+            want = [1]
+            for i in range(1, n + 1):
+                want.append(sum(want[i - p] for p in parts if p <= i))
+            assert want[n] == last
+            cons = ScaledConstraint(s, t)
+            lines = "".join(f"{i} {v}\n" for i, v in enumerate(want))
+            for call, expect in [
+                (lambda: count_recurrence(cons, n), want[n]),
+                (lambda: sequence_range(cons, 0, n), want),
+                (lambda: export_bfile(cons, 0, n), lines),
+            ]:
+                peak, spent = _peak_and_cpu(call, expect)
+                assert peak < 4 * 2**20 and spent < 2.0, ((s, t), peak, spent)
 
 
 @pytest.fixture
@@ -682,6 +704,29 @@ NEGATIVE_INDEX = {
 def test_negative_index_has_the_one_range_message(call):
     with pytest.raises(ValueError, match="need 0 <= n_lo <= n_hi"):
         call()
+
+
+# A float index is a TypeError on every route, before a cache hit or islice can answer.
+NON_INTEGRAL_INDEX = {
+    "count_recurrence": lambda: count_recurrence(ScaledConstraint(2, 3), 5.0),
+    "count_recurrence_cached": lambda: count_recurrence(ScaledConstraint(2, 3), 5.0, {5: 7}),
+    "expand": lambda: expand(build_gf(ScaledConstraint(2, 3)), 3.0),
+    "sequence_range": lambda: sequence_range(ScaledConstraint(2, 3), 0.0, 3),
+    "sequence_range_hi": lambda: sequence_range(ScaledConstraint(2, 3), 0, 3.0),
+    "sequence_range_brute": lambda: sequence_range(ScaledConstraint(2, 3), 0.0, 3, "brute"),
+    "export_bfile": lambda: export_bfile(ScaledConstraint(2, 3), 0.0, 2),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGRAL_INDEX.values(), ids=NON_INTEGRAL_INDEX.keys())
+def test_non_integral_index_is_a_type_error(call):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
+def test_bool_indices_stay_ints():
+    assert sequence_range(ScaledConstraint(2, 3), False, True) == [1, 1]
+    assert count_recurrence(ScaledConstraint(2, 3), True, {}) == 1
 
 
 def test_the_engine_never_builds_the_public_generating_function(monkeypatch, capsys):
