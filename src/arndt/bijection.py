@@ -16,10 +16,13 @@ Backward: group each maximal run of ones with the next part >= 2 into a
 block (1^c, d), with no Python step per part.  A byte mask marks anchors
 1 and ones 0 (by a 256-byte table when all parts are below 256, else by
 comparing each part with 1); its pieces between 1s are the runs c.  The
-anchor's rank b = ceil((d - 1)*s/(s+t)), once per distinct anchor in
-first-seen order, inverts the forward formula: d lies in the system
-exactly when 1 + floor(b*(s+t)/s) = d, and then a = c + d - b.  A
-trailing run of ones with no anchor maps to the single part c.  Parts
+anchor's rank b = ceil((d - 1)*s/(s+t)) inverts the forward formula: d
+lies in the system exactly when 1 + floor(b*(s+t)/s) = d, and then
+a = c + d - b.  Anchors below 256 read b and d - b from two byte tables
+cached per (s, t); larger ones compute b once per distinct anchor.
+The preimage is one list of 2*pairs slots, plus one holding the trailing
+run c when it is nonempty (a run of ones with no anchor maps to the single
+part c); two strided slice assignments write every b and every a.  Parts
 equal to 1 are never anchors, even though 1 itself is an admissible
 residue; anchors with residue 1 are exactly the parts 1 + q*(s+t), q >= 1.
 
@@ -28,10 +31,10 @@ Both directions check their input, build valid output unchecked, and need k = 0.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, compress, islice
 from operator import add, sub
 
-from .core import Composition, ScaledConstraint, _ints, _rank, _require_pure, _Value
+from .core import Composition, ScaledConstraint, _byte_ranks, _ints, _rank, _require_pure, _Value
 
 __all__ = ["ArndtPair", "OnesBlock", "map_pair", "unmap_block", "forward", "backward"]
 
@@ -150,14 +153,19 @@ def backward(c: Composition, cons: ScaledConstraint) -> Composition:
     s, modulus, parts = cons.s, cons.s + cons.t, c.parts
     try:  # every part below 256: byte scans (compress() here measured 1.25x slower)
         data = bytes(parts)
-        mask, anchors = data.translate(_IS_ANCHOR), data.translate(None, b"\x01")
-    except ValueError:  # a part of 256 or more
+    except ValueError:  # a part of 256 or more: a rank per distinct anchor
         mask = bytes(map((1).__lt__, parts))
         anchors = list(compress(parts, mask))
-    ones = list(map(len, mask.split(b"\x01")))  # the run before each anchor, then the trailing run
-    ranks = {p: _rank(p, s, modulus) for p in dict.fromkeys(anchors)}
-    bs = list(map(ranks.__getitem__, anchors))
-    out = list(chain.from_iterable(zip(map(add, ones, map(sub, anchors, bs)), bs)))
-    if ones[-1]:
-        out.append(ones[-1])
+        ranks = {p: _rank(p, s, modulus) for p in dict.fromkeys(anchors)}
+        bs = list(map(ranks.__getitem__, anchors))
+        rests = map(sub, anchors, bs)
+    else:  # the ranks b and the rests anchor - b from the constraint's tables
+        mask, anchors = data.translate(_IS_ANCHOR), data.translate(None, b"\x01")
+        bs, rests = (anchors.translate(table) for table in _byte_ranks(s, modulus))
+        if 0 in bs:  # _rank names the first anchor outside the system
+            _rank(anchors[bs.index(0)], s, modulus)
+    trail, n = len(mask) - 1 - mask.rfind(1), 2 * len(bs)  # the trailing run of ones; 2 * pairs
+    out = [trail] * (n + (trail > 0))
+    out[1:n:2] = bs
+    out[0:n:2] = map(add, map(len, mask.split(b"\x01")), rests)  # a = ones + anchor - b
     return Composition._from_checked(tuple(out))

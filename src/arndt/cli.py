@@ -3,8 +3,9 @@
 Subcommands: count, enumerate, map, unmap, residues, table, bfile.
 Data goes to stdout (always ending in exactly one newline), diagnostics
 to stderr.  Exit codes: 0 success, 1 domain error (e.g. a composition
-outside the bijection's domain, brute-force ceiling exceeded), 2 usage
-error (malformed arguments, k != 0 where only k = 0 is supported).
+outside the bijection's domain, a brute-force or residues ceiling
+passed), 2 usage error (malformed arguments, k != 0 where only k = 0 is
+supported).
 A stdout closed by its reader (as by ``| head -1``) exits 1 silently.
 Usage errors come from the parser, before anything is normalized or
 computed (``main`` raises ``SystemExit(2)``, as argparse does), so a
@@ -32,6 +33,10 @@ __all__ = ["main", "entry_point"]
 # Grid shown by `table residues` and the rows of `table sequences`.
 _TABLE_GRID = range(1, 6)
 _TABLE_SEQUENCE_PAIRS = [(2, 3), (3, 2), (2, 5), (4, 3), (5, 2), (3, 5), (5, 3)]
+# Largest normalized s that `residues` prints: its one line lists s residues (about
+# 7 MB, 0.4 s and 125 MB of memory at s = 10**6); a larger s is refused before anything
+# of size s is built.
+_RESIDUES_CEILING = 10**6
 
 
 def _positive(text: str) -> int:
@@ -87,6 +92,8 @@ def cmd_unmap(args, cons: ScaledConstraint) -> None:
 
 
 def cmd_residues(args, cons: ScaledConstraint) -> None:
+    if cons.s > _RESIDUES_CEILING:
+        raise ValueError(f"residues of s = {cons.s} refused; ceiling is s = {_RESIDUES_CEILING}")
     rs = residue_system(cons)
     sys.stdout.write(f"{','.join(map(str, rs.residues))} (mod {rs.modulus})\n")
 

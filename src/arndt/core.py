@@ -22,6 +22,7 @@ stream items) skip the part check through ``Composition._from_checked``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from operator import countOf
 
@@ -221,6 +222,14 @@ def _rank(part: int, s: int, modulus: int) -> int:
             f"mod {modulus} is not an admitted residue"
         )
     return b
+
+
+@lru_cache(maxsize=256)
+def _byte_ranks(s: int, modulus: int) -> tuple[bytes, bytes]:
+    # backward's bytes.translate tables, kept per (s, t): each part p < 256 of the system to its
+    # rank b and to p - b, any other byte to 0 (no anchor's rank: anchors have b >= 1).
+    rank = dict(zip(_congruence_parts(s, modulus, 255), range(256)))
+    return bytes(rank.get(p, 0) for p in range(256)), bytes(p - rank.get(p, p) for p in range(256))
 
 
 def _check_part(part: int) -> None:

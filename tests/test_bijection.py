@@ -220,6 +220,11 @@ class TestBackward:
             ((1, 253), (255, 1), (254, 1, 1)),
             ((1, 254), (1, 256), (256, 1)),
             ((2, 3), (1, 253, 1, 256, 1, 1), (153, 101, 155, 102, 2)),
+            # Consecutive anchors with empty runs and no trailing ones fill
+            # exactly 2 * pairs slots; an image of ones only fills one.
+            ((2, 3), (3, 3), (2, 1, 2, 1)),
+            ((1, 254), (256, 256), (255, 1, 255, 1)),
+            ((2, 3), (1,), (1,)),
         ],
     )
     def test_both_scans_at_their_edges(self, pair, image, preimage):

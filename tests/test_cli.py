@@ -309,6 +309,40 @@ class TestResidues:
         code, _, _ = run(capsys, "residues", "-s", "2", "-t", "3", "-k", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["-s", "1000000000000", "-t", "1"], 1,
+             "error: residues of s = 1000000000000 refused; ceiling is s = 1000000\n"),
+            (["-s", "2000002", "-t", "2"], 1,
+             "notice: (2000002,2) normalized to (1000001,1)\n"
+             "error: residues of s = 1000001 refused; ceiling is s = 1000000\n"),
+            (["-s", "1000000000000", "-t", "1", "-k", "1"], 2, None),
+        ],
+        ids=["huge-s", "normalized-past-ceiling", "usage-error-first"],
+    )
+    def test_refuses_an_s_past_the_ceiling_before_building(
+        self, capsys, monkeypatch, argv, code, err
+    ):
+        # The residue list of s = 10**12 would hold 10**12 ints: each builder fails
+        # here rather than run out of memory, and the refusal comes before either.
+        def refused(*args):
+            raise AssertionError("residues built")
+
+        monkeypatch.setattr("arndt.cli.residue_system", refused)
+        monkeypatch.setattr("arndt.core._congruence_parts", refused)
+        result = run(capsys, "residues", *argv)
+        assert result[:2] == (code, "")
+        assert err is None or result[2] == err
+
+    def test_ceiling_reads_the_normalized_s(self, capsys, monkeypatch):
+        monkeypatch.setattr("arndt.cli._RESIDUES_CEILING", 3)
+        notice = "notice: (6,4) normalized to (3,2)\n"
+        assert run(capsys, "residues", "-s", "6", "-t", "4") == (0, "1,2,4 (mod 5)\n", notice)
+        assert run(capsys, "residues", "-s", "4", "-t", "3") == (
+            1, "", "error: residues of s = 4 refused; ceiling is s = 3\n"
+        )
+
 
 class TestTables:
     def test_bijection6(self, capsys):
