@@ -3,10 +3,10 @@
 Subcommands: count, enumerate, map, unmap, residues, table, bfile.
 Data goes to stdout (always ending in exactly one newline), diagnostics
 to stderr.  Exit codes: 0 success, 1 domain error (e.g. a composition
-outside the bijection's domain, a brute-force or residues ceiling
-passed), 2 usage error (malformed arguments, k != 0 where only k = 0 is
-supported).
-A stdout closed by its reader (as by ``| head -1``) exits 1 silently.
+outside the bijection's domain, a brute-force or residues ceiling passed,
+an index past sys.maxsize), 2 usage error (malformed arguments, an integer
+longer than the interpreter's int-string limit, k != 0 where only k = 0 is
+supported).  A stdout closed by its reader (``| head -1``) exits 1 silently.
 Usage errors come from the parser, before anything is normalized or
 computed (``main`` raises ``SystemExit(2)``, as argparse does), so a
 non-coprime pair with k != 0 exits 2 where the options take only k = 0,
@@ -63,8 +63,9 @@ def _range(text: str) -> tuple[int, int]:
 
 
 def cmd_count(args, cons: ScaledConstraint) -> None:
+    from decimal import Decimal  # exact text of an int of any length, with no int-to-str limit
     method = args.method or ("brute" if cons.k != 0 else "recurrence")
-    sys.stdout.write(f"{sequence_range(cons, args.n, args.n, method)[0]}\n")
+    sys.stdout.write(f"{Decimal(sequence_range(cons, args.n, args.n, method)[0])}\n")
 
 
 def cmd_enumerate(args, cons: ScaledConstraint) -> None:
@@ -224,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Print exact counts past CPython's 4300-digit cap, then restore the cap.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
@@ -243,8 +241,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def entry_point() -> None:

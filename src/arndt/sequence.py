@@ -30,6 +30,7 @@ its digits where printing an int is quadratic (and capped by default).
 from __future__ import annotations
 
 import io
+import sys
 from collections.abc import Iterator, Sequence
 from itertools import islice
 from operator import index, sub
@@ -195,8 +196,9 @@ def count_recurrence(
 
 
 def _check_range(n_lo: int, n_hi: int) -> None:
-    if index(n_hi) < index(n_lo) or n_lo < 0:  # index: a float is a TypeError, a bool an int
-        raise ValueError(f"need 0 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
+    # index: a float is a TypeError, a bool an int
+    if index(n_hi) < index(n_lo) or n_lo < 0 or n_hi > sys.maxsize:
+        raise ValueError(f"need 0 <= n_lo <= n_hi <= sys.maxsize, got [{n_lo}, {n_hi}]")
 
 
 def sequence_range(

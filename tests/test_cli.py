@@ -1,18 +1,25 @@
 """End-to-end CLI behavior: outputs, formats, exit codes, diagnostics."""
 
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arndt.cli import main
 from arndt.core import ResidueSystem, ScaledConstraint
-from arndt.sequence import export_bfile
+from arndt.sequence import export_bfile, sequence_range
 
 from _reference import (
     arndt_ok, bitmask_compositions, ceil_div, congruence_ok, fib, residue_list,
@@ -47,6 +54,10 @@ a(5,3)  1  2  3  6  11  20  37  67  124  227
 """
 
 
+# One digit past CPython's default int-string limit: int() refuses it unless lifted.
+HUGE = "9" * 4301
+
+
 def run(capsys, *argv):
     try:
         code = main(list(argv))
@@ -54,6 +65,17 @@ def run(capsys, *argv):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@contextmanager
+def default_int_limit():
+    """CPython's default int-string limit of 4300 digits, for the block only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestCount:
@@ -102,7 +124,7 @@ class TestCount:
 
     def test_far_term_prints_in_full(self, capsys):
         # a(25000) of (1, 1) has 5225 digits, past CPython's default
-        # 4300-digit int-to-str limit, which main lifts for its own run only.
+        # 4300-digit int-to-str limit, which main leaves alone: it prints through Decimal.
         limit = sys.get_int_max_str_digits()
         try:
             code, out, _ = run(capsys, "count", "-s", "1", "-t", "1", "-n", "25000")
@@ -110,6 +132,20 @@ class TestCount:
             assert (code, out) == (0, f"{fib(25000)}\n")
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_far_term_prints_without_setting_the_limit(self, capsys, monkeypatch):
+        def refused(limit):
+            raise AssertionError(f"sys.set_int_max_str_digits({limit}) called")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refused)
+        code, out, err = run(capsys, "count", "-s", "1", "-t", "1", "-n", "25000")
+        assert (code, out, err) == (0, f"{Decimal(fib(25000))}\n", "")
+
+    def test_index_past_maxsize_is_a_domain_error(self, capsys):
+        n = str(sys.maxsize + 1)
+        assert run(capsys, "count", "-s", "1", "-t", "1", "-n", n) == (
+            1, "", f"error: need 0 <= n_lo <= n_hi <= sys.maxsize, got [{n}, {n}]\n"
+        )
 
     def test_missing_n_is_a_usage_error(self, capsys):
         code, _, _ = run(capsys, "count", "-s", "2", "-t", "3")
@@ -493,6 +529,58 @@ def test_main_restores_the_int_str_digit_limit(capsys, argv):
         sys.set_int_max_str_digits(limit)
 
 
+def test_threaded_mains_leave_the_limit_alone(capsys, monkeypatch):
+    # Thread A waits inside sequence_range until B is in it too, and B waits there
+    # until A's main has returned.  Were the limit lifted for each main's run and
+    # restored after, B would print its 5225-digit count under the restored limit
+    # (exit 1), then restore the lifted limit it found on entry.
+    b_inside, a_returned, codes = threading.Event(), threading.Event(), {}
+
+    def staged(*args):
+        if threading.current_thread().name == "A":
+            assert b_inside.wait(30)
+        else:
+            b_inside.set()
+            assert a_returned.wait(30)
+        return sequence_range(*args)
+
+    def call(n):
+        try:
+            codes[threading.current_thread().name] = main(["count", "-s", "1", "-t", "1", "-n", n])
+        finally:
+            a_returned.set()  # by B too, harmlessly: B's main has already waited for A's
+
+    monkeypatch.setattr("arndt.cli.sequence_range", staged)
+    with default_int_limit():
+        threads = [threading.Thread(target=call, args=(n,), name=name)
+                   for name, n in (("A", "10"), ("B", "25000"))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert (codes, sys.get_int_max_str_digits()) == ({"A": 0, "B": 0}, 4300)
+    assert capsys.readouterr() == (f"55\n{Decimal(fib(25000))}\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "-s", "1", "-t", "1", "-n", HUGE),
+        ("count", "-s", HUGE, "-t", "1", "-n", "5"),
+        ("count", "-s", "1", "-t", "1", "-k", HUGE, "-n", "5"),
+        ("residues", "-s", "1", "-t", HUGE),
+        ("bfile", "-s", "2", "-t", "3", "--range", "0..3", "--offset", HUGE),
+        ("bfile", "-s", "2", "-t", "3", "--range", f"{HUGE}..{HUGE}"),
+        ("map", "-s", "1", "-t", "1", "-c", f"{HUGE},1"),
+    ],
+    ids=["n", "s", "k", "t", "offset", "range", "parts"],
+)
+def test_an_integer_past_the_limit_is_a_usage_error(capsys, argv):
+    with default_int_limit():
+        code, out, _ = run(capsys, *argv)
+    assert (code, out) == (2, "")
+
+
 @pytest.mark.parametrize(
     "argv,code,out",
     [
@@ -531,3 +619,70 @@ def test_closed_stdout_exits_1_silently(argv):
         assert proc.stdout.readline()
         proc.stdout.close()
         assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b"")
+
+
+def scales():
+    return st.one_of(st.integers(0, 12), st.integers(1, 10**12 + 1))
+
+
+def one_in(n):
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv for any subcommand, valid or not; about one in ten has one integer
+    argument swapped for HUGE."""
+    command = draw(st.sampled_from(
+        ["count", "count", "enumerate", "map", "unmap", "residues", "table", "bfile"]
+    ))
+    if command == "table":
+        return [command, draw(st.sampled_from(["residues", "sequences", "bijection6", "nope"]))]
+    k = draw(st.integers(-10**6, 10**6)) if draw(one_in(3)) else 0
+    argv = [command, "-s", str(draw(scales())), "-t", str(draw(scales())), "-k", str(k)]
+    if command == "count":
+        method = draw(st.sampled_from([None, "recurrence", "series", "brute"]))
+        brute = method == "brute" or (method is None and k != 0)
+        argv += ["-n", str(draw(st.integers(-2, 20 if brute else 2000)))]
+        argv += ["--method", method] if method else []
+    elif command == "enumerate":
+        argv += ["-n", str(draw(st.integers(-2, 12)))]
+        argv += ["--congruence"] if draw(st.booleans()) else []
+        argv += ["--format", draw(st.sampled_from(["lines", "json"]))]
+    elif command in ("map", "unmap"):
+        parts = draw(st.lists(st.integers(1, 10**4), max_size=8))
+        argv += ["-c", ",".join(map(str, parts))]
+    elif command == "bfile":
+        lo = draw(st.integers(0, 2000))
+        argv += ["--range", f"{lo}..{lo + draw(st.integers(-1, 199))}"]
+        offset = draw(st.one_of(st.none(), st.integers(-10**20, 10**20)))
+        argv += [] if offset is None else ["--offset", str(offset)]
+    if draw(one_in(10)):
+        slot = draw(st.sampled_from([i for i, a in enumerate(argv) if re.match(r"-?\d", a)]))
+        argv[slot] = re.sub(r"\d+", HUGE, argv[slot], count=1)
+    return argv
+
+
+# The fuzz bounds its own sizes (n, ranges, parts, and the two ceilings patched small):
+# nothing yet refuses a count or b-file by its cost.
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+def test_every_argv_ends_in_a_classified_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, default_int_limit():
+        patch.setattr("arndt.cli._RESIDUES_CEILING", 64)
+        patch.setattr("arndt.bijection.MAX_IMAGE_PARTS", 1000)
+        start = time.process_time()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        elapsed = time.process_time() - start
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert code == 0 or out == ""
+    assert code != 0 or (out.endswith("\n") and not out.endswith("\n\n"))
+    assert code != 1 or err.splitlines()[-1].startswith("error: ")
+    assert code == 2 or HUGE not in " ".join(argv)
+    assert elapsed < 5

@@ -706,6 +706,22 @@ def test_negative_index_has_the_one_range_message(call):
         call()
 
 
+# Past sys.maxsize no index reaches islice, and no route starts a walk it cannot end.
+BEYOND_MAXSIZE = {
+    "count_recurrence": lambda: count_recurrence(ScaledConstraint(2, 3), sys.maxsize + 1),
+    "count_recurrence_cached": lambda: count_recurrence(ScaledConstraint(2, 3), 10**19, {}),
+    "expand": lambda: expand(build_gf(ScaledConstraint(2, 3)), 10**19),
+    "sequence_range": lambda: sequence_range(ScaledConstraint(2, 3), 0, sys.maxsize + 1),
+    "export_bfile": lambda: export_bfile(ScaledConstraint(2, 3), 10**19, 10**19),
+}
+
+
+@pytest.mark.parametrize("call", BEYOND_MAXSIZE.values(), ids=BEYOND_MAXSIZE.keys())
+def test_index_past_maxsize_has_the_one_range_message(call):
+    with pytest.raises(ValueError, match=r"^need 0 <= n_lo <= n_hi <= sys\.maxsize, got \["):
+        call()
+
+
 # A float index is a TypeError on every route, before a cache hit or islice can answer.
 NON_INTEGRAL_INDEX = {
     "count_recurrence": lambda: count_recurrence(ScaledConstraint(2, 3), 5.0),
