@@ -4,9 +4,10 @@ Subcommands: count, enumerate, map, unmap, residues, table, bfile.
 Data goes to stdout (always ending in exactly one newline), diagnostics
 to stderr.  Exit codes: 0 success, 1 domain error (e.g. a composition
 outside the bijection's domain, a brute-force or residues ceiling passed,
-an index past sys.maxsize), 2 usage error (malformed arguments, an integer
-longer than the interpreter's int-string limit, k != 0 where only k = 0 is
-supported).  A stdout closed by its reader (``| head -1``) exits 1 silently.
+an index past sys.maxsize, b-file indices past the int-string limit), 2
+usage error (malformed arguments, an integer longer than the interpreter's
+int-string limit, k != 0 where only k = 0 is supported).  A stdout closed
+by its reader (``| head -1``) exits 1 silently.
 Usage errors come from the parser, before anything is normalized or
 computed (``main`` raises ``SystemExit(2)``, as argparse does), so a
 non-coprime pair with k != 0 exits 2 where the options take only k = 0,
@@ -39,16 +40,32 @@ _TABLE_SEQUENCE_PAIRS = [(2, 3), (3, 2), (2, 5), (4, 3), (5, 2), (3, 5), (5, 3)]
 _RESIDUES_CEILING = 10**6
 
 
+def _within_limit(*numerals: str) -> None:
+    """Refuse any numeral that int() would refuse only for its length, naming the
+    interpreter's int-string limit (int's own message says to lift it, a call
+    that a CLI user cannot make)."""
+    limit = sys.get_int_max_str_digits()
+    for text in numerals:
+        digits = text.strip().lstrip("+-").replace("_", "")
+        if 0 < limit < len(digits) and digits.isdecimal():
+            raise argparse.ArgumentTypeError(
+                f"an integer of {len(digits)} digits is past the int-string limit of {limit} digits"
+            )
+
+
 def _positive(text: str) -> int:
+    _within_limit(text)
     try:
-        if int(text) >= 1:
-            return int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}") from None
-    raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _parts(text: str) -> Composition:
+    _within_limit(*text.split(","))
     try:
         return Composition.from_string(text)
     except ValueError as exc:
@@ -57,9 +74,11 @@ def _parts(text: str) -> Composition:
 
 def _range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not (sep and lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
-        raise argparse.ArgumentTypeError(f"range {text!r} is not LO..HI with LO <= HI")
-    return int(lo), int(hi)
+    if sep and lo.isdecimal() and hi.isdecimal():
+        _within_limit(lo, hi)
+        if int(lo) <= int(hi):
+            return int(lo), int(hi)
+    raise argparse.ArgumentTypeError(f"range {text!r} is not LO..HI with LO <= HI")
 
 
 def cmd_count(args, cons: ScaledConstraint) -> None:

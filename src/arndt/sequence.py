@@ -239,14 +239,23 @@ def write_bfile(
 
     The terms are exact ``Decimal``s, computed in a context entered around
     each chunk's arithmetic only: the caller and ``out.write`` never see it.
+    Indices too long for the interpreter's int-string limit raise
+    ``ValueError`` before anything is written.
     """
     from decimal import Decimal, localcontext
 
     _check_range(n_lo, n_hi)
+    first = n_lo if offset is None else offset
+    last = first + n_hi - n_lo
+    try:  # the longest indices are the ends: str() them before the first write
+        str(first), str(last)
+    except ValueError:
+        raise ValueError(
+            f"b-file indices past the int-string limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
     exact = _exact_context()
     terms = islice(_run(*_form(cons, n_hi), n_hi, Decimal), n_lo, None)
-    first = n_lo if offset is None else offset
-    for lo in range(first, first + n_hi - n_lo + 1, _BFILE_CHUNK):
+    for lo in range(first, last + 1, _BFILE_CHUNK):
         with localcontext(exact):
             # range first: zip draws no term past the chunk's last index.
             lines = [f"{i} {v!s}\n" for i, v in zip(range(lo, lo + _BFILE_CHUNK), terms)]

@@ -248,6 +248,18 @@ class TestBackward:
         with pytest.raises(ValueError, match=rf"^part {first} outside residue system"):
             backward(Composition(parts), ScaledConstraint(2, 3))
 
+    def test_a_part_past_two_to_the_64_takes_the_mask_scan(self):
+        # bytearray() refuses 10**30 with the ValueError that bytes() raises,
+        # on every supported interpreter, so such an image reaches the mask.
+        anchor, b = 10**30 + 1, 5 * 10**29  # an odd anchor of (1, 1): b = (anchor - 1) / 2
+        image, preimage = (1, 1, anchor, 1), (b + 3, b, 1)
+        assert forward_image(preimage, 1, 1) == image
+        result = backward(Composition(image), ScaledConstraint(1, 1))
+        assert result.parts == preimage
+        assert_checked(result)
+        with pytest.raises(ValueError, match=rf"^part {10**30} outside residue system"):
+            backward(Composition((1, 3, 10**30, 1)), ScaledConstraint(2, 3))
+
     @settings(deadline=None)
     @given(st.data())
     def test_round_trips_with_anchors_around_256(self, data):

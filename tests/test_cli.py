@@ -577,8 +577,38 @@ def test_threaded_mains_leave_the_limit_alone(capsys, monkeypatch):
 )
 def test_an_integer_past_the_limit_is_a_usage_error(capsys, argv):
     with default_int_limit():
-        code, out, _ = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
+    # Neither a private helper's name nor advice to lift the limit, a call a
+    # CLI user cannot make.
+    assert "_range" not in err and "set_int_max_str_digits" not in err, err
+
+
+@pytest.mark.parametrize("flag", ["-s", "--range", "-c"])
+def test_a_numeral_past_the_limit_is_named_as_such(capsys, flag):
+    argv = {
+        "-s": ("count", "-s", HUGE, "-t", "1", "-n", "5"),
+        "--range": ("bfile", "-s", "2", "-t", "3", "--range", f"{HUGE}..{HUGE}"),
+        "-c": ("map", "-s", "1", "-t", "1", "-c", f"{HUGE},1"),
+    }[flag]
+    with default_int_limit():
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: an integer of 4301 digits is past the int-string limit" in err, err
+    assert "positive" not in err
+
+
+def test_bfile_indices_past_the_limit_write_nothing(capsys):
+    # The last index, 10**4300 + 30, has 4301 digits: refused before the
+    # first chunk of 64 lines is written, not after it.
+    offset = str(10**4300 - 70)
+    with default_int_limit():
+        code, out, err = run(
+            capsys, "bfile", "-s", "1", "-t", "1", "--range", "0..100", "--offset", offset
+        )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: b-file indices past the int-string limit"), err
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize(
