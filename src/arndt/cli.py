@@ -24,7 +24,7 @@ from math import gcd
 
 from .bijection import backward, forward
 from .core import Composition, ScaledConstraint, normalize, residue_system
-from .enumeration import arndt_compositions, congruence_compositions
+from .enumeration import _text, arndt_compositions
 # export_bfile is unused here, but bench/worker.py's traced run patches
 # arndt.cli.export_bfile, so the name stays importable from this module.
 from .sequence import export_bfile, sequence_range, write_bfile  # noqa: F401
@@ -53,12 +53,16 @@ def _within_limit(*numerals: str) -> None:
             )
 
 
-def _positive(text: str) -> int:
-    _within_limit(text)
+def _integer(text: str, malformed: str = "invalid int value: {!r}") -> int:
+    _within_limit(text)  # named, where int()'s own refusal would echo every digit
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}") from None
+        raise argparse.ArgumentTypeError(malformed.format(text)) from None
+
+
+def _positive(text: str) -> int:
+    value = _integer(text, "must be a positive integer, got {}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
@@ -88,19 +92,14 @@ def cmd_count(args, cons: ScaledConstraint) -> None:
 
 
 def cmd_enumerate(args, cons: ScaledConstraint) -> None:
-    stream = (congruence_compositions if args.congruence else arndt_compositions)(args.n, cons)
-    if args.format == "json":
-        # The bytes of json.dumps(list), written as the stream runs: each chunk's
-        # str (its JSON: it holds only lists of ints) without brackets, joined by ", ".
-        sys.stdout.write("[")
-        sep = ""
-        while chunk := [list(c.parts) for c in islice(stream, 256)]:
-            sys.stdout.write(sep + str(chunk)[1:-1])
-            sep = ", "
-        sys.stdout.write("]\n")
-    else:
-        while text := "".join(f"{c}\n" for c in islice(stream, 256)):
-            sys.stdout.write(text)
+    # The bytes of each str(c) + "\n", or of json.dumps(list), written as the text runs.
+    json = args.format == "json"
+    items, sep, lead = _text(args.n, cons, args.congruence, json), ", " if json else "", ""
+    sys.stdout.write("[" if json else "")
+    while chunk := list(islice(items, 256)):
+        sys.stdout.write(lead + sep.join(chunk))
+        lead = sep
+    sys.stdout.write("]\n" if json else "")
 
 
 def cmd_map(args, cons: ScaledConstraint) -> None:
@@ -183,7 +182,7 @@ def _add_command(sub, name, func, help, affine=None) -> argparse.ArgumentParser:
     p.add_argument("-s", type=_positive, required=True, help="left scale factor")
     p.add_argument("-t", type=_positive, required=True, help="right scale factor")
     k_help = "affine offset (default 0)" if affine else "must be 0 here"
-    p.add_argument("-k", type=int, default=0, help=k_help)
+    p.add_argument("-k", type=_integer, default=0, help=k_help)
     return p
 
 
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "count", cmd_count, "count admissible compositions of n",
         affine=lambda args: args.method in (None, "brute"),
     )
-    p.add_argument("-n", type=int, required=True, help="number being composed")
+    p.add_argument("-n", type=_integer, required=True, help="number being composed")
     p.add_argument(
         "--method",
         choices=["recurrence", "series", "brute"],
@@ -210,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "enumerate", cmd_enumerate, "list admissible compositions of n",
         affine=lambda args: not args.congruence,
     )
-    p.add_argument("-n", type=int, required=True, help="number being composed")
+    p.add_argument("-n", type=_integer, required=True, help="number being composed")
     p.add_argument(
         "--congruence",
         action="store_true",
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--range", type=_range, required=True, metavar="LO..HI", help="index range"
     )
-    p.add_argument("--offset", type=int, help="first output index (default LO)")
+    p.add_argument("--offset", type=_integer, help="first output index (default LO)")
 
     return parser
 

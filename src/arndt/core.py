@@ -111,7 +111,7 @@ class Composition(_Value):
     def _from_checked(cls, parts: tuple[int, ...]) -> "Composition":
         """Unchecked, for parts that are exact ints >= 1 by construction: forward's input
         parts, 1s and anchors 1 + b*(s+t)//s >= 2; backward's a = ones + p - b >= 1, b >= 1
-        and trailing run >= 1; _walk's range ints from the table of enumeration._steps."""
+        and trailing run >= 1; enumeration._walk's leaves, joined from its table's range ints."""
         self = object.__new__(cls)
         object.__setattr__(self, "parts", parts)
         return self

@@ -4,11 +4,11 @@ The generators here are the independent ground truth for everything the recurren
 and bijection machinery claims.  Every walk reads one list of the admissible blocks:
 part pairs on the Arndt side, and on the congruence side the parts 1 + b*(s+t)//s,
 listed from s and s+t alone.  Every admissible prefix finishes in a match, so the
-full set is never held: a stream grows the compositions of n depth first, in
-lexicographic part order, from a table of those blocks and pays amortized O(n) per
-composition emitted; ``count_brute`` reads only the blocks' sizes, pays O(1) per
-admissible prefix that a block can extend short of n, and counts the others' matches
-at their parent.  Every walk refuses n > ``BRUTE_FORCE_CEILING`` when called.
+full set is never held: one walk grows the compositions of n depth first, in lexicographic
+part order, joining each prefix's blocks once (parts for the streams, text for the CLI) at
+amortized O(n) per composition emitted; ``count_brute`` reads only the blocks' sizes, pays
+O(1) per admissible prefix that a block can extend short of n, and counts the others'
+matches at their parent.  Every walk refuses n > ``BRUTE_FORCE_CEILING`` when called.
 
 Streams are single-consumer iterators; counting functions are pure.
 """
@@ -29,9 +29,9 @@ __all__ = [
     "count_brute",
 ]
 
-# Largest n any walk (count_brute and the three streams) will take: at
-# worst (k << 0) 2**25 matches, counted in about 0.3 s or streamed in about 70 s
-# of CPU (Intel Xeon vCPU, Python 3.11); larger n is refused, not run unbounded.
+# Largest n any walk (count_brute, the three streams, enumerate's text) will take: at worst
+# (k << 0) 2**25 matches, counted in about 0.3 s, streamed in about 20 s or written as text in
+# about 7 s of CPU (Intel Xeon vCPU, Python 3.11); larger n is refused, not run unbounded.
 BRUTE_FORCE_CEILING = 26
 
 
@@ -39,23 +39,21 @@ class BruteForceCeilingError(ValueError):
     """Raised when a brute-force count or stream would pass the documented ceiling."""
 
 
-def _walk(n: int, steps: list[list]) -> Iterator[Composition]:
-    # Depth first through a table from _steps, reading row r after a prefix leaving
-    # remainder r; each prefix leaving 0 is yielded unchecked: its parts are range ints.
-    parts, stack, composition = [], [], Composition._from_checked
-    level, mark = iter((((), n),)), 0  # the root: one empty block leaving n
+def _walk(n: int, steps: list[list], root: tuple | str = ()) -> Iterator:
+    # Depth first through a table from _steps, reading row r after a prefix leaving r: each
+    # prefix's payloads (tuples of parts, or text) are joined once onto root, leaves at r = 0.
+    stack, level, prefix = [], iter(((root, n),)), root[:0]
     while True:
         for block, r in level:
-            parts[mark:] = block
             if r:
-                stack.append((level, mark))
-                level, mark = iter(steps[r]), len(parts)
+                stack.append((level, prefix))
+                level, prefix = iter(steps[r]), prefix + block
                 break
-            yield composition(tuple(parts))
+            yield prefix + block
         else:
             if not stack:
                 return
-            level, mark = stack.pop()
+            level, prefix = stack.pop()
 
 
 def all_compositions(n: int) -> Iterator[Composition]:
@@ -70,7 +68,7 @@ def all_compositions(n: int) -> Iterator[Composition]:
     """
     # Every pair (a, b) of a composition of n has b < n, so a > b - n: k = -n admits
     # them all.  index() refuses a non-int n with TypeError, as range() does elsewhere.
-    return _walk(n, _steps(n, _blocks(n, ScaledConstraint(1, 1, -index(n)))))
+    return arndt_compositions(n, ScaledConstraint(1, 1, -index(n)))
 
 
 def _require_walkable(n: int) -> None:
@@ -113,24 +111,37 @@ def _steps(n: int, side: tuple[list[tuple], bool]) -> list[list]:
             + ([((r,), 0)] if final else []) for r in range(n + 1)]
 
 
+def _table(n: int, cons: ScaledConstraint | ResidueSystem, congruence: bool) -> list[list]:
+    # The _steps table of one side of cons, after its stream's refusals, in their order.
+    if congruence and isinstance(cons, ScaledConstraint):
+        _require_pure(cons)  # residue_system(cons)'s refusal of k != 0, before any walk check
+        return _steps(n, _part_blocks(n, cons.s, cons.s + cons.t))
+    if not congruence and isinstance(cons, ResidueSystem):
+        raise TypeError("expected ScaledConstraint, got ResidueSystem: use congruence_compositions")
+    return _steps(n, _blocks(n, cons))
+
+
 def arndt_compositions(n: int, cons: ScaledConstraint) -> Iterator[Composition]:
     """The compositions of n meeting s*a > t*b + k, lexicographically.
 
     With k != 0 this is the exploratory affine filter, which no closed form checks.
     A ResidueSystem raises TypeError: its side is :func:`congruence_compositions`.
     """
-    if isinstance(cons, ResidueSystem):
-        raise TypeError("expected ScaledConstraint, got ResidueSystem: use congruence_compositions")
-    return _walk(n, _steps(n, _blocks(n, cons)))
+    return map(Composition._from_checked, _walk(n, _table(n, cons, False)))
 
 
 def congruence_compositions(n: int, rs: ScaledConstraint | ResidueSystem) -> Iterator[Composition]:
     """The compositions of n with every part inside ``rs``, lexicographically: a ResidueSystem,
     or a ScaledConstraint (k = 0 only), read from s and s+t alone with no s-tuple built."""
-    if isinstance(rs, ScaledConstraint):
-        _require_pure(rs)  # residue_system(rs)'s refusal of k != 0, before any walk check
-        return _walk(n, _steps(n, _part_blocks(n, rs.s, rs.s + rs.t)))
-    return _walk(n, _steps(n, _blocks(n, rs)))
+    return map(Composition._from_checked, _walk(n, _table(n, rs, True)))
+
+
+def _text(n: int, cons: ScaledConstraint, congruence: bool, json: bool) -> Iterator[str]:
+    # One side's stream as text: a line "4,1,1\n" or a JSON array "[4, 1, 1]" per composition.
+    sep, end, root = (", ", "]", "[") if json else (",", "\n", "")
+    rows = [[(sep.join(map(str, block)) + (sep if r else end), r) for block, r in row]
+            for row in _table(n, cons, congruence)]
+    return _walk(n, rows, root if n else root + end)  # n = 0: the root is the leaf
 
 
 def count_brute(n: int, constraint: ScaledConstraint | ResidueSystem) -> int:

@@ -174,6 +174,23 @@ class TestForward:
         with pytest.raises(ValueError, match=message):
             forward(Composition((3, 1, 1, 2, 9, 1)), ScaledConstraint(1, 1))
 
+    def test_pairs_exactly_at_the_limit_leave_the_violation(self, monkeypatch):
+        # (5, 1) makes 4 parts under (1, 1) and (1, 2) then violates: at a limit of 4
+        # the violation is named, at 3 the limit.
+        monkeypatch.setattr(bijection, "MAX_IMAGE_PARTS", 4)
+        with pytest.raises(ValueError, match=r"^\(5,1,1,2\) violates 1\*a > 1\*b on some pair$"):
+            forward(Composition((5, 1, 1, 2)), ScaledConstraint(1, 1))
+        monkeypatch.setattr(bijection, "MAX_IMAGE_PARTS", 3)
+        with pytest.raises(ValueError, match=r"^image exceeds MAX_IMAGE_PARTS = 3 parts$"):
+            forward(Composition((5, 1, 1, 2)), ScaledConstraint(1, 1))
+
+    def test_a_bare_anchor_before_the_violation_counts(self, monkeypatch):
+        # (2, 1) is a block of size 1, its anchor 3 alone; with (6, 1) the pairs before
+        # the violating (1, 2) make 6 parts, past the limit of 4, so the limit wins.
+        monkeypatch.setattr(bijection, "MAX_IMAGE_PARTS", 4)
+        with pytest.raises(ValueError, match=r"^image exceeds MAX_IMAGE_PARTS = 4 parts$"):
+            forward(Composition((2, 1, 6, 1, 1, 2)), ScaledConstraint(1, 1))
+
     @pytest.mark.parametrize("parts", [(9,), (2, 1, 9)])
     def test_trailing_part_alone_passes_the_limit(self, monkeypatch, parts):
         # The pair (2, 1) fits in 2 parts; the trailing 9 alone is over 4.

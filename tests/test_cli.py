@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from arndt.cli import main
 from arndt.core import ResidueSystem, ScaledConstraint
+from arndt.enumeration import arndt_compositions, congruence_compositions
 from arndt.sequence import export_bfile, sequence_range
 
 from _reference import (
-    arndt_ok, bitmask_compositions, ceil_div, congruence_ok, fib, residue_list,
+    arndt_ok, bitmask_compositions, ceil_div, congruence_ok, coprime_pairs, fib, residue_list,
 )
 
 ARNDT_LINES = "2,1,2,1\n2,1,3\n3,1,2\n4,1,1\n4,2\n5,1\n6\n"
@@ -239,6 +240,32 @@ class TestEnumerate:
             ]
             expected = json.dumps(sorted(admitted)) + "\n"
             assert run(capsys, *argv, "--congruence") == (0, expected, "")
+
+    @pytest.mark.parametrize("s,t", coprime_pairs(8))
+    def test_text_is_the_library_streams_own(self, capsys, s, t):
+        # Both formats of both sides (the congruence side at k = 0 only) over n <= 14 and
+        # |k| <= 3: the bytes of the streams' compositions as str lines or as json.dumps.
+        for n in range(15):
+            for k in range(-3, 4):
+                cons = ScaledConstraint(s, t, k)
+                sides = {"": arndt_compositions(n, cons)}
+                if k == 0:
+                    sides["--congruence"] = congruence_compositions(n, cons)
+                for flag, stream in sides.items():
+                    parts = [c.parts for c in stream]
+                    argv = ["enumerate", "-s", str(s), "-t", str(t), "-k", str(k), "-n", str(n)]
+                    argv += [flag] if flag else []
+                    lines = "".join(f"{','.join(map(str, p))}\n" for p in parts)
+                    assert run(capsys, *argv) == (0, lines, "")
+                    document = json.dumps(list(map(list, parts))) + "\n"
+                    assert run(capsys, *argv, "--format", "json") == (0, document, "")
+        for n in (-1, 27):
+            for flag in ("", "--congruence"):
+                for form in ("lines", "json"):
+                    argv = ["enumerate", "-s", str(s), "-t", str(t), "-n", str(n), "--format", form]
+                    code, out, err = run(capsys, *argv, *[flag] if flag else [])
+                    assert (code, out) == (1, ""), argv
+                    assert err.startswith("error: "), err
 
     def test_json_streams_in_bounded_memory(self, monkeypatch):
         # 2**14 compositions (tracemalloc slows each allocation several times):
@@ -596,6 +623,25 @@ def test_a_numeral_past_the_limit_is_named_as_such(capsys, flag):
     assert (code, out) == (2, "")
     assert f"argument {flag}: an integer of 4301 digits is past the int-string limit" in err, err
     assert "positive" not in err
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("-n", ("count", "-s", "1", "-t", "1", "-n", HUGE)),
+        ("-n", ("enumerate", "-s", "1", "-t", "1", "-n", HUGE)),
+        ("-k", ("count", "-s", "1", "-t", "1", "-k", f"-{HUGE}", "-n", "5")),
+        ("--offset", ("bfile", "-s", "2", "-t", "3", "--range", "0..3", "--offset", HUGE)),
+    ],
+    ids=["count-n", "enumerate-n", "k", "offset"],
+)
+def test_a_long_integer_option_names_the_limit_briefly(capsys, flag, argv):
+    # The limit is named, and the 4301 digits are not echoed back.
+    with default_int_limit():
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: an integer of 4301 digits is past the int-string limit" in err, err
+    assert len(err.encode()) < 300, err
 
 
 def test_bfile_indices_past_the_limit_write_nothing(capsys):

@@ -1,6 +1,7 @@
 """Generating functions, series expansion, recurrence, and b-file export."""
 
 import decimal
+import io
 import sys
 import time
 import tracemalloc
@@ -24,6 +25,7 @@ from arndt.sequence import (
     expand,
     export_bfile,
     sequence_range,
+    write_bfile,
 )
 
 from _reference import ceil_div, congruence_counts, coprime_pairs, fib, residue_list
@@ -675,6 +677,22 @@ class TestExportBfile:
             assert decimal.getcontext() is mine
             assert repr(mine) == before
 
+    def test_the_last_index_is_the_offset_plus_the_width(self):
+        # Under the default 4300-digit limit, a(5..6) from 10**4300 - 3 end at index
+        # 10**4300 - 2, of 4300 digits; from 10**4300 - 1 they would end at 10**4300,
+        # of 4301, so nothing is written.
+        cons, limit, out = ScaledConstraint(1, 1), sys.get_int_max_str_digits(), io.StringIO()
+        try:
+            sys.set_int_max_str_digits(4300)
+            text = export_bfile(cons, 5, 6, offset=10**4300 - 3)
+            last = f"{10**4300 - 2} "
+            with pytest.raises(ValueError, match="^b-file indices past the int-string limit"):
+                write_bfile(out, cons, 5, 6, offset=10**4300 - 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text.splitlines()[-1].startswith(last)
+        assert out.getvalue() == ""
+
     def test_exact_context_holds_a_million_digits(self):
         nines = Decimal("9" * 1_000_001)
         with localcontext(arndt.sequence._exact_context()):
@@ -720,6 +738,14 @@ BEYOND_MAXSIZE = {
 def test_index_past_maxsize_has_the_one_range_message(call):
     with pytest.raises(ValueError, match=r"^need 0 <= n_lo <= n_hi <= sys\.maxsize, got \["):
         call()
+
+
+def test_an_index_at_maxsize_is_in_range():
+    # sys.maxsize itself passes the range check, so the method is checked next.
+    with pytest.raises(ValueError, match="^unknown method 'nope'$"):
+        sequence_range(ScaledConstraint(1, 1), sys.maxsize, sys.maxsize, "nope")
+    with pytest.raises(ValueError, match=r"^need 0 <= n_lo <= n_hi <= sys\.maxsize, got \["):
+        sequence_range(ScaledConstraint(1, 1), sys.maxsize + 1, sys.maxsize + 1, "nope")
 
 
 # A float index is a TypeError on every route, before a cache hit or islice can answer.
