@@ -37,84 +37,12 @@ from __future__ import annotations
 from itertools import accumulate, compress, islice
 from operator import add, sub
 
-from .core import Composition, ScaledConstraint, _byte_ranks, _ints, _rank, _require_pure, _Value
+from .core import Composition, ScaledConstraint, _byte_ranks, _rank, _require_pure
 
-__all__ = ["ArndtPair", "OnesBlock", "map_pair", "unmap_block", "forward", "backward"]
+__all__ = ["forward", "backward"]
 
 MAX_IMAGE_PARTS = 10**7  # forward's limit: a pair (a, b) becomes up to a + b parts
 _IS_ANCHOR = bytes(2) + b"\x01" * 254  # backward's byte mask: part 1 -> 0, each part >= 2 -> 1
-
-
-class ArndtPair(_Value):
-    """One (odd, even) part pair; b = 0 encodes an absent final partner."""
-
-    __slots__ = __match_args__ = ("a", "b")
-
-    def __init__(self, a: int, b: int) -> None:
-        _ints((a, b), "a and b must be ints, got {!r}")
-        if a < 1:
-            raise ValueError(f"first part of a pair must be positive, got {a}")
-        if b < 0:
-            raise ValueError(f"second part of a pair must be >= 0, got {b}")
-        super().__init__(a, b)
-
-
-class OnesBlock(_Value):
-    """A run of ``ones`` parts 1, optionally terminated by an anchor >= 2.
-
-    ``anchor=None`` marks the trailing block of a composition, which then
-    must contain at least one 1.
-    """
-
-    __slots__ = __match_args__ = ("ones", "anchor")
-
-    def __init__(self, ones: int, anchor: int | None = None) -> None:
-        _ints((ones,) if anchor is None else (ones, anchor), "ones and anchor must be ints: {!r}")
-        if ones < 0:
-            raise ValueError(f"run length must be >= 0, got {ones}")
-        if anchor is None:
-            if ones < 1:
-                raise ValueError("a trailing block without anchor must be nonempty")
-        elif anchor < 2:
-            raise ValueError(f"anchors are parts >= 2, got {anchor}")
-        super().__init__(ones, anchor)
-
-
-def _pair_blocks(parts, s: int, modulus: int) -> tuple[list[int], list[int]]:
-    # Block sizes 1 + ones (below 1 exactly when s*a <= t*b) and anchors of parts' pairs (a, b).
-    anchors = [1 + b * modulus // s for b in parts[1::2]]
-    return [a + b + 1 - anchor for a, b, anchor in zip(parts[0::2], parts[1::2], anchors)], anchors
-
-
-def map_pair(p: ArndtPair, cons: ScaledConstraint) -> OnesBlock:
-    """Image of one complete pair (b >= 1) under the forward map.
-
-    >>> map_pair(ArndtPair(5, 1), ScaledConstraint(2, 3))
-    OnesBlock(ones=3, anchor=3)
-    """
-    _require_pure(cons)
-    if p.b < 1:
-        raise ValueError("map_pair needs a complete pair (b >= 1)")
-    (size,), (anchor,) = _pair_blocks((p.a, p.b), cons.s, cons.s + cons.t)
-    if size < 1:
-        raise ValueError(f"pair ({p.a}, {p.b}) violates {cons.s}*a > {cons.t}*b")
-    return OnesBlock(size - 1, anchor)
-
-
-def unmap_block(blk: OnesBlock, cons: ScaledConstraint) -> ArndtPair | int:
-    """Preimage of one block: an (a, b) pair, or a bare part for the
-    anchorless trailing block.
-
-    >>> unmap_block(OnesBlock(2, 3), ScaledConstraint(2, 3))
-    ArndtPair(a=4, b=1)
-    >>> unmap_block(OnesBlock(6, None), ScaledConstraint(2, 3))
-    6
-    """
-    _require_pure(cons)
-    if blk.anchor is None:
-        return blk.ones
-    b = _rank(blk.anchor, cons.s, cons.s + cons.t)
-    return ArndtPair(blk.ones + blk.anchor - b, b)
 
 
 def forward(c: Composition, cons: ScaledConstraint) -> Composition:
@@ -127,8 +55,10 @@ def forward(c: Composition, cons: ScaledConstraint) -> Composition:
     '1,1,3,1'
     """
     _require_pure(cons)
-    parts, limit = c.parts, MAX_IMAGE_PARTS
-    sizes, anchors = _pair_blocks(parts, cons.s, cons.s + cons.t)
+    parts, s, modulus, limit = c.parts, cons.s, cons.s + cons.t, MAX_IMAGE_PARTS
+    # Block sizes 1 + ones (below 1 exactly when s*a <= t*b) and anchors of the pairs (a, b).
+    anchors = [1 + b * modulus // s for b in parts[1::2]]
+    sizes = [a + b + 1 - anchor for a, b, anchor in zip(parts[0::2], parts[1::2], anchors)]
     size = sum(sizes) + (parts[-1] if len(parts) % 2 else 0)
     if min(sizes, default=1) < 1:  # the limit wins if the pairs before the violation pass it
         size = sum(sizes[: next(i for i, n in enumerate(sizes) if n < 1)])
@@ -154,9 +84,7 @@ def backward(c: Composition, cons: ScaledConstraint) -> Composition:
     """
     _require_pure(cons)
     s, modulus, parts = cons.s, cons.s + cons.t, c.parts
-    # bytes(bytearray(parts)): bytearray's per-item path runs over 2x as fast as
-    # bytes', with the same ValueError for a part outside 0..255.  A bytearray kept
-    # as such measured slower: split would then build a bytearray per pair.
+    # A bytearray kept as such measured slower: split would then build one per pair.
     try:  # every part below 256: byte scans (compress() here measured 1.25x slower)
         data = bytes(bytearray(parts))
     except ValueError:  # a part of 256 or more: a rank per distinct anchor

@@ -4,10 +4,10 @@ Subcommands: count, enumerate, map, unmap, residues, table, bfile.
 Data goes to stdout (always ending in exactly one newline), diagnostics
 to stderr.  Exit codes: 0 success, 1 domain error (e.g. a composition
 outside the bijection's domain, a brute-force or residues ceiling passed,
-an index past sys.maxsize, b-file indices past the int-string limit), 2
-usage error (malformed arguments, an integer longer than the interpreter's
-int-string limit, k != 0 where only k = 0 is supported).  A stdout closed
-by its reader (``| head -1``) exits 1 silently.
+an index past sys.maxsize, b-file indices or an output integer past the
+int-string limit), 2 usage error (malformed arguments, an integer longer
+than the interpreter's int-string limit, k != 0 where only k = 0 is
+supported).  A stdout closed by its reader (``| head -1``) exits 1 silently.
 Usage errors come from the parser, before anything is normalized or
 computed (``main`` raises ``SystemExit(2)``, as argparse does), so a
 non-coprime pair with k != 0 exits 2 where the options take only k = 0,
@@ -85,6 +85,18 @@ def _range(text: str) -> tuple[int, int]:
     raise argparse.ArgumentTypeError(f"range {text!r} is not LO..HI with LO <= HI")
 
 
+def _decimal_list(ints) -> str:
+    """The ints' decimal text, comma-separated.  An int past the interpreter's
+    int-string limit is refused with a message that names the limit (str()'s
+    own says to lift it, a call that a CLI user cannot make)."""
+    try:
+        return ",".join(map(str, ints))
+    except ValueError:
+        raise ValueError(
+            f"an output integer is past the int-string limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def cmd_count(args, cons: ScaledConstraint) -> None:
     from decimal import Decimal  # exact text of an int of any length, with no int-to-str limit
     method = args.method or ("brute" if cons.k != 0 else "recurrence")
@@ -103,18 +115,19 @@ def cmd_enumerate(args, cons: ScaledConstraint) -> None:
 
 
 def cmd_map(args, cons: ScaledConstraint) -> None:
-    sys.stdout.write(f"{forward(args.composition, cons)}\n")
+    sys.stdout.write(f"{_decimal_list(forward(args.composition, cons))}\n")
 
 
 def cmd_unmap(args, cons: ScaledConstraint) -> None:
-    sys.stdout.write(f"{backward(args.composition, cons)}\n")
+    sys.stdout.write(f"{_decimal_list(backward(args.composition, cons))}\n")
 
 
 def cmd_residues(args, cons: ScaledConstraint) -> None:
     if cons.s > _RESIDUES_CEILING:
         raise ValueError(f"residues of s = {cons.s} refused; ceiling is s = {_RESIDUES_CEILING}")
     rs = residue_system(cons)
-    sys.stdout.write(f"{','.join(map(str, rs.residues))} (mod {rs.modulus})\n")
+    residues, modulus = _decimal_list(rs.residues), _decimal_list((rs.modulus,))
+    sys.stdout.write(f"{residues} (mod {modulus})\n")
 
 
 def _render_table(rows: list[list[str]], aligns: str) -> str:

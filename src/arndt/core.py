@@ -30,20 +30,10 @@ __all__ = [
     "Composition",
     "ScaledConstraint",
     "ResidueSystem",
-    "ceil_div",
     "normalize",
     "satisfies",
     "residue_system",
 ]
-
-
-def ceil_div(a: int, b: int) -> int:
-    """Ceiling of a/b for a >= 0, b >= 1, without floating point.
-
-    >>> ceil_div(4, 2), ceil_div(5, 2), ceil_div(0, 3)
-    (2, 3, 0)
-    """
-    return (a + b - 1) // b
 
 
 def _ints(values: tuple, error: str) -> tuple:

@@ -1,5 +1,5 @@
-"""Block-level maps and the full bijection, checked exhaustively at small n
-and against an independent transcription on long inputs."""
+"""The bijection, checked exhaustively at small n and against an independent
+transcription on long inputs."""
 
 import time
 import tracemalloc
@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arndt import bijection
-from arndt.bijection import (
-    ArndtPair,
-    OnesBlock,
-    backward,
-    forward,
-    map_pair,
-    unmap_block,
-)
+from arndt.bijection import backward, forward
 from arndt.core import Composition, ScaledConstraint, residue_system, satisfies
 from arndt.enumeration import all_compositions, arndt_compositions, congruence_compositions
 
@@ -39,85 +32,6 @@ def assert_checked(c):
     # check; they must pass it all the same.
     assert Composition(c.parts) == c
     assert all(type(p) is int and p >= 1 for p in c.parts)
-
-
-class TestPairTypes:
-    def test_pair_allows_absent_partner(self):
-        assert ArndtPair(5, 0).b == 0
-
-    def test_pair_validation(self):
-        with pytest.raises(ValueError):
-            ArndtPair(0, 1)
-        with pytest.raises(ValueError):
-            ArndtPair(3, -1)
-
-    def test_block_validation(self):
-        OnesBlock(0, 6)
-        OnesBlock(3, None)
-        with pytest.raises(ValueError):
-            OnesBlock(-1, 6)
-        with pytest.raises(ValueError):
-            OnesBlock(0, None)  # empty trailing block
-        with pytest.raises(ValueError):
-            OnesBlock(2, 1)  # a part 1 is run filler, never an anchor
-
-
-class TestMapPair:
-    def test_examples(self):
-        cons = ScaledConstraint(2, 3)
-        assert map_pair(ArndtPair(5, 1), cons) == OnesBlock(3, 3)
-        assert map_pair(ArndtPair(4, 2), cons) == OnesBlock(0, 6)
-        assert map_pair(ArndtPair(2, 1), cons) == OnesBlock(0, 3)
-
-    def test_rejects_violating_pair(self):
-        with pytest.raises(ValueError, match="violates"):
-            map_pair(ArndtPair(3, 2), ScaledConstraint(2, 3))
-
-    def test_rejects_incomplete_pair(self):
-        with pytest.raises(ValueError, match="complete pair"):
-            map_pair(ArndtPair(3, 0), ScaledConstraint(2, 3))
-
-    def test_rejects_affine(self):
-        with pytest.raises(ValueError, match="k = 0"):
-            map_pair(ArndtPair(5, 1), ScaledConstraint(2, 3, k=1))
-
-    @given(st.sampled_from(coprime_pairs(8)), st.integers(1, 60), st.data())
-    def test_block_structure_over_valid_pairs(self, pair, b, data):
-        # Run length >= 0, anchor >= 2 in the residue system, sum preserved,
-        # and the reverse map restores the pair exactly.
-        s, t = pair
-        a_min = (t * b) // s + 1
-        a = data.draw(st.integers(a_min, a_min + 40))
-        cons = ScaledConstraint(s, t)
-        blk = map_pair(ArndtPair(a, b), cons)
-        assert blk.ones >= 0
-        assert blk.anchor >= 2
-        assert residue_system(cons).contains(blk.anchor)
-        assert blk.ones + blk.anchor == a + b
-        assert unmap_block(blk, cons) == ArndtPair(a, b)
-
-
-class TestUnmapBlock:
-    def test_examples(self):
-        cons = ScaledConstraint(2, 3)
-        assert unmap_block(OnesBlock(2, 3), cons) == ArndtPair(4, 1)
-        assert unmap_block(OnesBlock(0, 6), cons) == ArndtPair(4, 2)
-        assert unmap_block(OnesBlock(6, None), cons) == 6
-
-    def test_produced_pair_satisfies_inequality(self):
-        cons = ScaledConstraint(2, 3)
-        for anchor in (3, 6, 8, 11, 13):
-            for ones in (0, 1, 5):
-                pair = unmap_block(OnesBlock(ones, anchor), cons)
-                assert cons.s * pair.a > cons.t * pair.b
-
-    def test_rejects_anchor_outside_class(self):
-        with pytest.raises(ValueError, match="outside residue system"):
-            unmap_block(OnesBlock(0, 2), ScaledConstraint(2, 3))
-
-    def test_rejects_affine(self):
-        with pytest.raises(ValueError, match="k = 0"):
-            unmap_block(OnesBlock(0, 3), ScaledConstraint(2, 3, k=2))
 
 
 class TestForward:
@@ -391,27 +305,3 @@ class TestBijectionLongInputs:
         assert backward(image, cons).parts == parts
         assert_checked(image)
         assert_checked(backward(image, cons))
-
-    @settings(deadline=None)
-    @given(long_arndt_compositions())
-    def test_block_maps_reproduce_forward_and_backward(self, case):
-        # map_pair and unmap_block, applied block by block, give forward's
-        # image and backward's result: the primitives share their arithmetic.
-        (s, t), parts = case
-        cons = ScaledConstraint(s, t)
-        blocks = [map_pair(ArndtPair(a, b), cons) for a, b in zip(parts[::2], parts[1::2])]
-        if len(parts) % 2:
-            blocks.append(OnesBlock(parts[-1]))
-        image: list[int] = []
-        back: list[int] = []
-        for blk in blocks:
-            image += [1] * blk.ones
-            pre = unmap_block(blk, cons)
-            if blk.anchor is None:
-                back.append(pre)
-            else:
-                image.append(blk.anchor)
-                back += (pre.a, pre.b)
-        mapped = forward(Composition(parts), cons)
-        assert mapped.parts == tuple(image)
-        assert backward(mapped, cons).parts == tuple(back)

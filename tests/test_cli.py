@@ -658,6 +658,26 @@ def test_bfile_indices_past_the_limit_write_nothing(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # The modulus 10**4300 has 4301 digits.
+        ("residues", "-s", "1", "-t", "9" * 4300),
+        # The image is the one anchor 1 + b*3//2 = 15 * 10**4299 - 1, of 4301 digits.
+        ("map", "-s", "2", "-t", "1", "-c", f"{5 * 10**4299},{10**4300 - 1}"),
+        # The anchor 10**4300 - 1 has rank b = 1, so a = 2 + anchor - 1 = 10**4300.
+        ("unmap", "-s", "1", "-t", str(10**4300 - 3), "-c", f"1,1,{10**4300 - 1}"),
+    ],
+    ids=["residues", "map", "unmap"],
+)
+def test_an_output_integer_past_the_limit_writes_nothing(capsys, argv):
+    with default_int_limit():
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: an output integer is past the int-string limit of 4300 digits\n", err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
     "argv,code,out",
     [
         (("count", "-s", "2", "-t", "3", "-n", "6"), 0, "7\n"),

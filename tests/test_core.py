@@ -8,19 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arndt.bijection import (
-    ArndtPair,
-    OnesBlock,
-    backward,
-    forward,
-    map_pair,
-    unmap_block,
-)
+from arndt.bijection import backward, forward
 from arndt.core import (
     Composition,
     ResidueSystem,
     ScaledConstraint,
-    ceil_div,
     normalize,
     residue_system,
     satisfies,
@@ -53,12 +45,6 @@ RESIDUE_GRID = {
 }
 
 
-def test_ceil_div_is_exact_on_nonnegatives():
-    for a in range(0, 50):
-        for b in range(1, 9):
-            assert ceil_div(a, b) == -(-a // b)
-
-
 class TestComposition:
     def test_parts_and_total(self):
         c = Composition((4, 1, 1))
@@ -66,6 +52,9 @@ class TestComposition:
         assert c.total == 6
         assert len(c) == 3
         assert c[0] == 4
+        assert list(c) == [4, 1, 1] and tuple(c) == (4, 1, 1)
+        first, *rest = c
+        assert (first, rest) == (4, [1, 1])
 
     def test_empty_composition_of_zero(self):
         c = Composition(())
@@ -351,8 +340,6 @@ K_ZERO_ONLY = {
     "sequence_range_recurrence": lambda: sequence_range(AFFINE, 1, 5, "recurrence"),
     "sequence_range_series": lambda: sequence_range(AFFINE, 1, 5, "series"),
     "export_bfile": lambda: export_bfile(AFFINE, 1, 5),
-    "map_pair": lambda: map_pair(ArndtPair(5, 1), AFFINE),
-    "unmap_block_anchorless": lambda: unmap_block(OnesBlock(2, None), AFFINE),
     "forward": lambda: forward(Composition((5, 1)), AFFINE),
     "backward": lambda: backward(Composition((1, 1)), AFFINE),
 }

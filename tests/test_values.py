@@ -1,6 +1,7 @@
-"""Value semantics shared by the library's seven types: repr, equality and
+"""Value semantics shared by the library's five types: repr, equality and
 hash by fields, immutability, keyword construction, match patterns,
-validation, pickle and copy; and what importing the package loads."""
+validation, pickle and copy; the public names; and what importing the package
+loads."""
 
 import copy
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from arndt.bijection import ArndtPair, OnesBlock
+import arndt
 from arndt.core import Composition, ResidueSystem, ScaledConstraint
 from arndt.sequence import RationalGF, SeriesExpansion
 
@@ -24,9 +25,6 @@ VALUES = [
     (SC, "ScaledConstraint(s=2, t=3, k=0)"),
     (ScaledConstraint(1, 1, -2), "ScaledConstraint(s=1, t=1, k=-2)"),
     (ResidueSystem(5, (1, 3)), "ResidueSystem(modulus=5, residues=(1, 3))"),
-    (ArndtPair(4, 1), "ArndtPair(a=4, b=1)"),
-    (OnesBlock(3), "OnesBlock(ones=3, anchor=None)"),
-    (OnesBlock(0, 6), "OnesBlock(ones=0, anchor=6)"),
     (
         RationalGF(SC, (1, 0, 0, 0, 0, -1), (1, -1, 0, -1, 0, -1)),
         "RationalGF(constraint=ScaledConstraint(s=2, t=3, k=0), "
@@ -45,8 +43,6 @@ FIELDS = {
     Composition: ("parts",),
     ScaledConstraint: ("s", "t", "k"),
     ResidueSystem: ("modulus", "residues"),
-    ArndtPair: ("a", "b"),
-    OnesBlock: ("ones", "anchor"),
     RationalGF: ("constraint", "numerator", "denominator"),
     SeriesExpansion: ("constraint", "coefficients"),
 }
@@ -95,10 +91,6 @@ class TestValueSemantics:
                 assert (s, t, k) == (x.s, x.t, x.k)
             case ResidueSystem(modulus, residues):
                 assert (modulus, residues) == (x.modulus, x.residues)
-            case ArndtPair(a, b):
-                assert (a, b) == (x.a, x.b)
-            case OnesBlock(ones, anchor):
-                assert (ones, anchor) == (x.ones, x.anchor)
             case RationalGF(cons, num, den):
                 assert (cons, num, den) == (x.constraint, x.numerator, x.denominator)
             case SeriesExpansion(cons, coefficients):
@@ -116,17 +108,21 @@ class TestValueSemantics:
         assert copy.deepcopy(x) == x
 
 
+class Parts(Composition):
+    """A type of its own with Composition's fields."""
+
+    __slots__ = ()
+
+
 def test_equality_needs_the_same_type():
     assert ScaledConstraint(2, 3) != (2, 3, 0)
-    assert ArndtPair(1, 2) != OnesBlock(1, 2)
+    assert Parts((1, 2)) != Composition((1, 2)) and Composition((1, 2)) != Parts((1, 2))
     assert Composition((1, 2)) != (1, 2)
 
 
 def test_keyword_construction_and_defaults():
     assert ScaledConstraint(s=2, t=3).k == 0
     assert ScaledConstraint(s=2, t=3) == ScaledConstraint(2, 3, 0)
-    assert OnesBlock(3).anchor is None
-    assert OnesBlock(ones=0, anchor=6) == OnesBlock(0, 6)
     assert Composition(parts=[2, 1]).parts == (2, 1)
     assert ResidueSystem(modulus=5, residues=[1, 3]).residues == (1, 3)
 
@@ -138,20 +134,10 @@ def test_keyword_construction_and_defaults():
         (lambda: ScaledConstraint(0, 3), r"s and t must be positive, got \(0, 3\)"),
         (lambda: ScaledConstraint(4, 6), r"\(4, 6\) is not coprime; reduce it with normal"),
         (lambda: ResidueSystem(5, (1, 2)), r"residues\[r\] must be 1 \+ r\*5//s, 0 <= r < s"),
-        (lambda: ArndtPair(0, 1), "first part of a pair must be positive, got 0"),
-        (lambda: ArndtPair(3, -1), "second part of a pair must be >= 0, got -1"),
-        (lambda: OnesBlock(-1, 6), "run length must be >= 0, got -1"),
-        (lambda: OnesBlock(0), "a trailing block without anchor must be nonempty"),
-        (lambda: OnesBlock(2, 1), "anchors are parts >= 2, got 1"),
         (lambda: RationalGF(SC, (1,), (2,)), "denominator constant term must be 1"),
         (lambda: RationalGF(SC, (0,), (1,)), "numerator constant term must be 1"),
         (lambda: SeriesExpansion(SC, ()), r"series must start with .* a\(0\) = 1"),
         # Fields of exact type int only: a float or bool equal to a valid int is refused.
-        (lambda: ArndtPair(2.5, 1), r"a and b must be ints, got \(2\.5, 1\)"),
-        (lambda: ArndtPair(1, True), r"a and b must be ints, got \(1, True\)"),
-        (lambda: OnesBlock(1.5), r"ones and anchor must be ints: \(1\.5,\)"),
-        (lambda: OnesBlock(True, 3), r"ones and anchor must be ints: \(True, 3\)"),
-        (lambda: OnesBlock(0, 3.0), r"ones and anchor must be ints: \(0, 3\.0\)"),
         (lambda: ResidueSystem(5.0, (1, 3)), r"modulus and residues must be ints, got \(5\.0,"),
         (lambda: ResidueSystem(5, (True, 3)), r"modulus and residues must be ints, got \(5, True"),
         (lambda: RationalGF(SC, (1, 0.5), (1, -1)), r"coefficients must be ints, got \(1, 0\.5,"),
@@ -167,9 +153,6 @@ def test_constructors_refuse_numpy_ints():
     np = pytest.importorskip("numpy")
     one = np.int64(1)
     for make in (
-        lambda: ArndtPair(one, 1),
-        lambda: OnesBlock(one),
-        lambda: OnesBlock(1, np.int64(3)),
         lambda: ResidueSystem(np.int64(5), (1, 3)),
         lambda: ResidueSystem(5, (one, 3)),
         lambda: RationalGF(SC, (one,), (1,)),
@@ -208,6 +191,24 @@ def test_loading_a_pickle_validates_its_fields():
     payload = pickle.dumps(forged)
     with pytest.raises(ValueError, match=r"\(4, 6\) is not coprime"):
         pickle.loads(payload)
+
+
+# The package's public names.  A change to this list changes the library's contract.
+PUBLIC_NAMES = [
+    "BRUTE_FORCE_CEILING", "BruteForceCeilingError", "Composition", "RationalGF",
+    "ResidueSystem", "ScaledConstraint", "SeriesExpansion", "all_compositions",
+    "arndt_compositions", "backward", "build_gf", "congruence_compositions", "count_brute",
+    "count_recurrence", "expand", "export_bfile", "forward", "normalize", "residue_system",
+    "satisfies", "sequence_range", "write_bfile",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(arndt.__all__) == PUBLIC_NAMES
+    assert arndt.bijection.__all__ == ["forward", "backward"]
+    namespace: dict = {}
+    exec("from arndt import *", namespace)  # raises if a listed name does not resolve
+    assert sorted(namespace.keys() - {"__builtins__"}) == PUBLIC_NAMES
 
 
 def new_modules(statement: str) -> set[str]:
