@@ -4,10 +4,11 @@ Subcommands: count, enumerate, map, unmap, residues, table, bfile.
 Data goes to stdout (always ending in exactly one newline), diagnostics
 to stderr.  Exit codes: 0 success, 1 domain error (e.g. a composition
 outside the bijection's domain, a brute-force or residues ceiling passed,
-an index past sys.maxsize, b-file indices or an output integer past the
-int-string limit), 2 usage error (malformed arguments, an integer longer
-than the interpreter's int-string limit, k != 0 where only k = 0 is
-supported).  A stdout closed by its reader (``| head -1``) exits 1 silently.
+a residues line past its bound, an index past sys.maxsize, b-file indices
+or an output integer past the int-string limit), 2 usage error (malformed
+arguments, an integer longer than the interpreter's int-string limit,
+k != 0 where only k = 0 is supported).  A stdout closed by its reader
+(``| head -1``) exits 1 silently.
 Usage errors come from the parser, before anything is normalized or
 computed (``main`` raises ``SystemExit(2)``, as argparse does), so a
 non-coprime pair with k != 0 exits 2 where the options take only k = 0,
@@ -24,7 +25,7 @@ from math import gcd
 
 from .bijection import backward, forward
 from .core import Composition, ScaledConstraint, normalize, residue_system
-from .enumeration import _text, arndt_compositions
+from .enumeration import _text, arndt_compositions, count_brute
 # export_bfile is unused here, but bench/worker.py's traced run patches
 # arndt.cli.export_bfile, so the name stays importable from this module.
 from .sequence import export_bfile, sequence_range, write_bfile  # noqa: F401
@@ -36,7 +37,7 @@ _TABLE_GRID = range(1, 6)
 _TABLE_SEQUENCE_PAIRS = [(2, 3), (3, 2), (2, 5), (4, 3), (5, 2), (3, 5), (5, 3)]
 # Largest normalized s that `residues` prints: its one line lists s residues (about
 # 7 MB, 0.4 s and 125 MB of memory at s = 10**6); a larger s is refused before anything
-# of size s is built.
+# of size s is built, and so is a line longer than the one this s admits at t = 1.
 _RESIDUES_CEILING = 10**6
 
 
@@ -99,8 +100,9 @@ def _decimal_list(ints) -> str:
 
 def cmd_count(args, cons: ScaledConstraint) -> None:
     from decimal import Decimal  # exact text of an int of any length, with no int-to-str limit
-    method = args.method or ("brute" if cons.k != 0 else "recurrence")
-    sys.stdout.write(f"{Decimal(sequence_range(cons, args.n, args.n, method)[0])}\n")
+    brute = args.method == "brute" or cons.k  # main admits no other method for k != 0
+    value = count_brute(args.n, cons) if brute else sequence_range(cons, args.n, args.n)[0]
+    sys.stdout.write(f"{Decimal(value)}\n")
 
 
 def cmd_enumerate(args, cons: ScaledConstraint) -> None:
@@ -125,6 +127,13 @@ def cmd_unmap(args, cons: ScaledConstraint) -> None:
 def cmd_residues(args, cons: ScaledConstraint) -> None:
     if cons.s > _RESIDUES_CEILING:
         raise ValueError(f"residues of s = {cons.s} refused; ceiling is s = {_RESIDUES_CEILING}")
+    # The line lists s numbers below s + t, each with a comma: its width, estimated from
+    # above (1234/4096 > log10(2)), is bounded by the one that the ceiling admits at t = 1.
+    width, bound = (s * ((s + t).bit_length() * 1234 // 4096 + 2)
+                    for s, t in [(cons.s, cons.t), (_RESIDUES_CEILING, 1)])
+    if width > bound:
+        raise ValueError(f"residues line of about {width} characters refused; "
+                         f"bound is {bound}, the line of s = {_RESIDUES_CEILING} at t = 1")
     rs = residue_system(cons)
     residues, modulus = _decimal_list(rs.residues), _decimal_list((rs.modulus,))
     sys.stdout.write(f"{residues} (mod {modulus})\n")

@@ -75,9 +75,12 @@ def _require_walkable(n: int) -> None:
     if n < 0:
         raise ValueError(f"cannot compose a negative total: {n}")
     if n > BRUTE_FORCE_CEILING:
+        try:
+            walk = f"2**{n - 1}"
+        except ValueError:  # n - 1 past the int-string limit
+            walk = "2**(n-1)"
         raise BruteForceCeilingError(
-            f"brute-force walk of 2**{n - 1} compositions refused; "
-            f"ceiling is n = {BRUTE_FORCE_CEILING}"
+            f"brute-force walk of {walk} compositions refused; ceiling is n = {BRUTE_FORCE_CEILING}"
         )
 
 

@@ -36,11 +36,9 @@ from itertools import islice
 from operator import index, sub
 
 from .core import ScaledConstraint, _congruence_parts, _ints, _require_pure, _Value, residue_system
-from .enumeration import count_brute
 
 __all__ = [
     "RationalGF",
-    "SeriesExpansion",
     "build_gf",
     "expand",
     "count_recurrence",
@@ -67,23 +65,6 @@ class RationalGF(_Value):
             raise ValueError("numerator constant term must be 1, so that a(0) = 1")
         _ints((*numerator, *denominator), "coefficients must be ints, got {!r}")
         super().__init__(constraint, numerator, denominator)
-
-
-class SeriesExpansion(_Value):
-    """Coefficients 0..N of the counting series for one constraint."""
-
-    __slots__ = __match_args__ = ("constraint", "coefficients")
-
-    def __init__(self, constraint: ScaledConstraint, coefficients: tuple[int, ...]) -> None:
-        if not coefficients or coefficients[0] != 1:
-            raise ValueError("series must start with the empty composition, a(0) = 1")
-        super().__init__(constraint, coefficients)
-
-    def __getitem__(self, n: int) -> int:
-        return self.coefficients[n]
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
 
 
 def build_gf(cons: ScaledConstraint) -> RationalGF:
@@ -151,10 +132,10 @@ def _run(num: dict, taps: list, stop: int, kind: type = int, start: int = 0,
         yield c
 
 
-def expand(gf: RationalGF, n_max: int) -> SeriesExpansion:
+def expand(gf: RationalGF, n_max: int) -> tuple[int, ...]:
     """Coefficients 0..n_max of numerator/denominator, exactly.
 
-    >>> expand(build_gf(ScaledConstraint(2, 3)), 9).coefficients
+    >>> expand(build_gf(ScaledConstraint(2, 3)), 9)
     (1, 1, 1, 2, 3, 4, 7, 11, 17, 27)
     """
     _check_range(0, n_max)
@@ -162,7 +143,7 @@ def expand(gf: RationalGF, n_max: int) -> SeriesExpansion:
     if gf.constraint.s > 2 * gf.constraint.t:  # telescoped: (1 - x) times both
         num, den = (tuple(map(sub, (*p, 0), (0, *p))) for p in (num, den))
     taps = [(j, -d) for j, d in enumerate(den) if j and d]
-    return SeriesExpansion(gf.constraint, tuple(_run(dict(enumerate(num)), taps, n_max)))
+    return tuple(_run(dict(enumerate(num)), taps, n_max))
 
 
 def count_recurrence(
@@ -201,20 +182,9 @@ def _check_range(n_lo: int, n_hi: int) -> None:
         raise ValueError(f"need 0 <= n_lo <= n_hi <= sys.maxsize, got [{n_lo}, {n_hi}]")
 
 
-def sequence_range(
-    cons: ScaledConstraint, n_lo: int, n_hi: int, method: str = "recurrence"
-) -> list[int]:
-    """a(n) for n in [n_lo, n_hi] by the chosen method.
-
-    ``recurrence`` and ``series`` are the same computation and agree by
-    construction; ``brute`` enumerates and is bounded by the enumeration
-    ceiling.
-    """
+def sequence_range(cons: ScaledConstraint, n_lo: int, n_hi: int) -> list[int]:
+    """a(n) for n in [n_lo, n_hi], by the recurrence."""
     _check_range(n_lo, n_hi)
-    if method == "brute":
-        return [count_brute(n, cons) for n in range(n_lo, n_hi + 1)]
-    if method not in ("recurrence", "series"):
-        raise ValueError(f"unknown method {method!r}")
     return list(islice(_run(*_form(cons, n_hi), n_hi), n_lo, None))
 
 

@@ -148,6 +148,18 @@ class TestCount:
             1, "", f"error: need 0 <= n_lo <= n_hi <= sys.maxsize, got [{n}, {n}]\n"
         )
 
+    @pytest.mark.parametrize("route", [["--method", "brute"], ["-k", "1"]], ids=["brute", "affine"])
+    @pytest.mark.parametrize(
+        "n,message",
+        [("-1", "cannot compose a negative total: -1"),
+         (str(sys.maxsize + 1),
+          f"brute-force walk of 2**{sys.maxsize} compositions refused; ceiling is n = 26")],
+        ids=["negative", "past-maxsize"],
+    )
+    def test_brute_force_refuses_as_enumerate_does(self, capsys, route, n, message):
+        argv = ["count", "-s", "2", "-t", "3", "-n", n, *route]
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
     def test_missing_n_is_a_usage_error(self, capsys):
         code, _, _ = run(capsys, "count", "-s", "2", "-t", "3")
         assert code == 2
@@ -397,6 +409,24 @@ class TestResidues:
         result = run(capsys, "residues", *argv)
         assert result[:2] == (code, "")
         assert err is None or result[2] == err
+
+    # s + t of 4300 digits: each residue takes at most 4301 characters with its comma.
+    LONG_T = str(10**4299 + 1)
+
+    def test_admits_a_long_line_within_the_bound(self, capsys):
+        # About 4.3 * 10**6 characters, within the 8 * 10**6 of the ceiling's line at t = 1.
+        code, out, err = run(capsys, "residues", "-s", "1000", "-t", self.LONG_T)
+        assert (code, err, len(out.split(","))) == (0, "", 1000)
+
+    def test_refuses_a_line_past_the_bound_before_building(self, capsys, monkeypatch):
+        def refused(*args):
+            raise AssertionError("residues built")
+
+        monkeypatch.setattr("arndt.cli.residue_system", refused)
+        assert run(capsys, "residues", "-s", "3000", "-t", self.LONG_T) == (
+            1, "", "error: residues line of about 12912000 characters refused; "
+                   "bound is 8000000, the line of s = 1000000 at t = 1\n"
+        )
 
     def test_ceiling_reads_the_normalized_s(self, capsys, monkeypatch):
         monkeypatch.setattr("arndt.cli._RESIDUES_CEILING", 3)

@@ -337,8 +337,7 @@ K_ZERO_ONLY = {
     "residue_system": lambda: residue_system(AFFINE),
     "build_gf": lambda: build_gf(AFFINE),
     "count_recurrence_cache_hit": lambda: count_recurrence(AFFINE, 3, {3: 2}),
-    "sequence_range_recurrence": lambda: sequence_range(AFFINE, 1, 5, "recurrence"),
-    "sequence_range_series": lambda: sequence_range(AFFINE, 1, 5, "series"),
+    "sequence_range": lambda: sequence_range(AFFINE, 1, 5),
     "export_bfile": lambda: export_bfile(AFFINE, 1, 5),
     "forward": lambda: forward(Composition((5, 1)), AFFINE),
     "backward": lambda: backward(Composition((1, 1)), AFFINE),

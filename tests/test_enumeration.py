@@ -1,5 +1,8 @@
 """Composition streams and brute-force counting against the bitmask oracle."""
 
+import re
+import sys
+
 import pytest
 
 from arndt.core import Composition, ResidueSystem, ScaledConstraint, residue_system, satisfies
@@ -409,6 +412,27 @@ class TestCountBrute:
             all_compositions(BRUTE_FORCE_CEILING + 1)
         # The ceiling itself is still served.
         assert next(all_compositions(BRUTE_FORCE_CEILING)) == Composition((1,) * 26)
+
+    @pytest.mark.parametrize(
+        "n,walk",
+        [(27, "2**26"), (10**4300, f"2**{10**4300 - 1}"), (10**4300 + 1, "2**(n-1)"),
+         (10**4301, "2**(n-1)")],
+        ids=["27", "n-1-at-the-limit", "n-1-past-the-limit", "n-past-the-limit"],
+    )
+    def test_every_refusal_past_the_ceiling_is_a_ceiling_error(self, n, walk):
+        # Under CPython's default int-string limit an n - 1 of 4301 digits has no text:
+        # the message names it as n-1, and is still the ceiling's.
+        cons = ScaledConstraint(2, 3)
+        message = f"^brute-force walk of {re.escape(walk)} compositions refused; ceiling is n = 26$"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for call in (lambda: count_brute(n, cons), lambda: arndt_compositions(n, cons),
+                         lambda: congruence_compositions(n, cons), lambda: all_compositions(n)):
+                with pytest.raises(BruteForceCeilingError, match=message):
+                    call()
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_rejects_other_constraint_types(self):
         with pytest.raises(TypeError):

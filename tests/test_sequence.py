@@ -19,7 +19,6 @@ from arndt.core import ScaledConstraint
 from arndt.enumeration import count_brute
 from arndt.sequence import (
     RationalGF,
-    SeriesExpansion,
     build_gf,
     count_recurrence,
     expand,
@@ -70,11 +69,11 @@ class TestExpand:
     @pytest.mark.parametrize("pair,expected", sorted(SERIES_SUM_FIVE.items()))
     def test_sum_five_series(self, pair, expected):
         series = expand(build_gf(ScaledConstraint(*pair)), 9)
-        assert series.coefficients == expected
+        assert series == expected
 
     def test_zero_length(self):
         series = expand(build_gf(ScaledConstraint(2, 3)), 0)
-        assert series.coefficients == (1,)
+        assert series == (1,)
 
     def test_denominator_times_series_is_numerator(self):
         # Convolving the expansion back through the denominator must
@@ -82,7 +81,7 @@ class TestExpand:
         n_max = 40
         for s, t in coprime_pairs(8):
             gf = build_gf(ScaledConstraint(s, t))
-            c = expand(gf, n_max).coefficients
+            c = expand(gf, n_max)
             den = gf.denominator
             for n in range(n_max + 1):
                 conv = sum(
@@ -94,7 +93,7 @@ class TestExpand:
     def test_coefficients_stay_positive(self):
         for s, t in coprime_pairs(8):
             series = expand(build_gf(ScaledConstraint(s, t)), 30)
-            assert all(v >= 1 for v in series.coefficients)
+            assert all(v >= 1 for v in series)
 
     def test_non_unit_taps_follow_the_hand_recurrence(self):
         # c_n = num_n + 2 c_{n-1} - 3 c_{n-2}, with a numerator that
@@ -105,18 +104,14 @@ class TestExpand:
         for n in range(40):
             c.append((num[n] if n < len(num) else 0)
                      + (2 * c[n - 1] if n >= 1 else 0) - (3 * c[n - 2] if n >= 2 else 0))
-        assert expand(gf, 39).coefficients == tuple(c)
+        assert expand(gf, 39) == tuple(c)
         assert c[:9] == [1, 1, 3, 3, -1, -11, -19, -5, 47]
         # A denominator with no taps leaves the numerator alone.
         polynomial = RationalGF(ScaledConstraint(2, 3), num, (1, 0, 0))
-        assert expand(polynomial, 7).coefficients == num + (0, 0, 0)
+        assert expand(polynomial, 7) == num + (0, 0, 0)
         # So does a denominator with no window at all.
         windowless = RationalGF(ScaledConstraint(2, 3), (1, 2), (1,))
-        assert expand(windowless, 3).coefficients == (1, 2, 0, 0)
-
-    def test_series_type_demands_unit_constant(self):
-        with pytest.raises(ValueError):
-            SeriesExpansion(ScaledConstraint(2, 3), (2, 1))
+        assert expand(windowless, 3) == (1, 2, 0, 0)
 
 
 class TestTermStream:
@@ -274,14 +269,14 @@ class TestTelescopedForm:
         for s, t in coprime_pairs(16):
             cons, n_max = ScaledConstraint(s, t), 3 * (s + t) + 50
             want = congruence_counts(s, t, n_max)
-            assert expand(build_gf(cons), n_max).coefficients == tuple(want), (s, t)
+            assert expand(build_gf(cons), n_max) == tuple(want), (s, t)
             lines = "".join(f"{n} {v}\n" for n, v in enumerate(want))
             assert export_bfile(cons, 0, n_max) == lines, (s, t)
 
     @pytest.mark.parametrize("pair,n_max", sorted(LARGE_S.items()))
     def test_large_s_agrees_with_the_reference(self, pair, n_max):
         cons, want = ScaledConstraint(*pair), congruence_counts(*pair, n_max)
-        assert expand(build_gf(cons), n_max).coefficients == tuple(want)
+        assert expand(build_gf(cons), n_max) == tuple(want)
         assert export_bfile(cons, 0, n_max) == "".join(f"{n} {v}\n" for n, v in enumerate(want))
 
     def test_huge_s_far_terms_keep_the_recurrence(self):
@@ -332,7 +327,7 @@ class TestTelescopedForm:
         # Misses resume from the cache every few terms, around index s + t
         # at every step.
         cons, m = ScaledConstraint(*pair), sum(pair)
-        want = expand(build_gf(cons), n_max).coefficients
+        want = expand(build_gf(cons), n_max)
         ns = sorted(set(range(0, n_max + 1, 7)) | set(range(m - 3, m + 4)) | {n_max})
         cache: dict[int, int] = {}
         assert [count_recurrence(cons, n, cache) for n in ns] == [want[n] for n in ns]
@@ -474,7 +469,7 @@ class TestCountRecurrence:
         # below index s+t+1, so 0..500 draws each term once: 501 terms, not
         # the ~125k of restarting at a(0) on every miss.
         cons = ScaledConstraint(2, 3)
-        walked = expand(build_gf(cons), 500).coefficients
+        walked = expand(build_gf(cons), 500)
         run, drawn = arndt.sequence._run, 0
 
         def counted(*args):
@@ -495,7 +490,7 @@ class TestCountRecurrence:
         # below index 20, which only a check of all s+t+1 of them sees.
         for pair, j, missing in [((2, 3), 12, 9), ((7, 1), 20, 11)]:
             cons = ScaledConstraint(*pair)
-            walked = expand(build_gf(cons), 40).coefficients
+            walked = expand(build_gf(cons), 40)
             cache = {i: walked[i] for i in range(j) if i != missing}
             cache[40] = walked[40]
             assert count_recurrence(cons, 30, cache) == walked[30], pair
@@ -528,7 +523,7 @@ class TestCountRecurrence:
         # without a(6) still holds a(7)..a(11), and the miss resumes at 12.
         # The hole itself lies below len(cache), so its miss walks from a(0).
         cons = ScaledConstraint(2, 3)
-        walked = expand(build_gf(cons), 30).coefficients
+        walked = expand(build_gf(cons), 30)
         run, starts = arndt.sequence._run, []
 
         def recorded(num, taps, stop, kind=int, start=0, seed=()):
@@ -563,22 +558,17 @@ class TestCountRecurrence:
 
 class TestSequenceRange:
     def test_recurrence_row(self):
-        got = sequence_range(ScaledConstraint(4, 3), 1, 10, "recurrence")
+        got = sequence_range(ScaledConstraint(4, 3), 1, 10)
         assert got == [1, 2, 3, 6, 10, 19, 33, 61, 109, 198]
 
     def test_series_row(self):
-        got = sequence_range(ScaledConstraint(2, 5), 1, 10, "series")
+        got = sequence_range(ScaledConstraint(2, 5), 1, 10)
         assert got == [1, 1, 1, 2, 3, 4, 5, 8, 12, 17]
 
-    def test_brute_row(self):
-        assert sequence_range(ScaledConstraint(2, 3), 6, 6, "brute") == [7]
-
     def test_methods_agree(self):
+        # The recurrence against brute-force enumeration, its independent check.
         cons = ScaledConstraint(3, 4)
-        rec = sequence_range(cons, 0, 14, "recurrence")
-        ser = sequence_range(cons, 0, 14, "series")
-        bru = sequence_range(cons, 0, 14, "brute")
-        assert rec == ser == bru
+        assert sequence_range(cons, 0, 14) == [count_brute(n, cons) for n in range(15)]
 
     def test_rejects_bad_ranges_and_methods(self):
         cons = ScaledConstraint(2, 3)
@@ -586,8 +576,6 @@ class TestSequenceRange:
             sequence_range(cons, 5, 2)
         with pytest.raises(ValueError):
             sequence_range(cons, -1, 2)
-        with pytest.raises(ValueError):
-            sequence_range(cons, 1, 3, "magic")
 
     def test_bounds_across_grid(self):
         for s, t in coprime_pairs(8):
@@ -741,11 +729,12 @@ def test_index_past_maxsize_has_the_one_range_message(call):
 
 
 def test_an_index_at_maxsize_is_in_range():
-    # sys.maxsize itself passes the range check, so the method is checked next.
-    with pytest.raises(ValueError, match="^unknown method 'nope'$"):
-        sequence_range(ScaledConstraint(1, 1), sys.maxsize, sys.maxsize, "nope")
+    # sys.maxsize itself passes the range check, so the constraint is checked next.
+    affine = ScaledConstraint(1, 1, 1)
+    with pytest.raises(ValueError, match="k != 0"):
+        sequence_range(affine, sys.maxsize, sys.maxsize)
     with pytest.raises(ValueError, match=r"^need 0 <= n_lo <= n_hi <= sys\.maxsize, got \["):
-        sequence_range(ScaledConstraint(1, 1), sys.maxsize + 1, sys.maxsize + 1, "nope")
+        sequence_range(affine, sys.maxsize + 1, sys.maxsize + 1)
 
 
 # A float index is a TypeError on every route, before a cache hit or islice can answer.
@@ -755,7 +744,7 @@ NON_INTEGRAL_INDEX = {
     "expand": lambda: expand(build_gf(ScaledConstraint(2, 3)), 3.0),
     "sequence_range": lambda: sequence_range(ScaledConstraint(2, 3), 0.0, 3),
     "sequence_range_hi": lambda: sequence_range(ScaledConstraint(2, 3), 0, 3.0),
-    "sequence_range_brute": lambda: sequence_range(ScaledConstraint(2, 3), 0.0, 3, "brute"),
+    "count_brute": lambda: count_brute(3.0, ScaledConstraint(2, 3)),
     "export_bfile": lambda: export_bfile(ScaledConstraint(2, 3), 0.0, 2),
 }
 
@@ -788,8 +777,7 @@ def test_the_engine_never_builds_the_public_generating_function(monkeypatch, cap
     assert [count_recurrence(cons, n) for n in range(41)] == want
     cache: dict[int, int] = {}
     assert [count_recurrence(cons, n, cache) for n in range(41)] == want
-    for method in ("recurrence", "series"):
-        assert sequence_range(cons, 0, 40, method) == want, method
+    assert sequence_range(cons, 0, 40) == want
     assert export_bfile(cons, 0, 40) == lines
     for argv, out in [
         (["count", "-s", "5", "-t", "2", "-n", "40"], f"{want[40]}\n"),

@@ -1,4 +1,4 @@
-"""Value semantics shared by the library's five types: repr, equality and
+"""Value semantics shared by the library's four types: repr, equality and
 hash by fields, immutability, keyword construction, match patterns,
 validation, pickle and copy; the public names; and what importing the package
 loads."""
@@ -15,7 +15,7 @@ import pytest
 
 import arndt
 from arndt.core import Composition, ResidueSystem, ScaledConstraint
-from arndt.sequence import RationalGF, SeriesExpansion
+from arndt.sequence import RationalGF
 
 SC = ScaledConstraint(2, 3)
 
@@ -30,11 +30,6 @@ VALUES = [
         "RationalGF(constraint=ScaledConstraint(s=2, t=3, k=0), "
         "numerator=(1, 0, 0, 0, 0, -1), denominator=(1, -1, 0, -1, 0, -1))",
     ),
-    (
-        SeriesExpansion(SC, (1, 1, 1, 2)),
-        "SeriesExpansion(constraint=ScaledConstraint(s=2, t=3, k=0), "
-        "coefficients=(1, 1, 1, 2))",
-    ),
 ]
 IDS = [text.partition("(")[0] for _, text in VALUES]
 
@@ -44,7 +39,6 @@ FIELDS = {
     ScaledConstraint: ("s", "t", "k"),
     ResidueSystem: ("modulus", "residues"),
     RationalGF: ("constraint", "numerator", "denominator"),
-    SeriesExpansion: ("constraint", "coefficients"),
 }
 
 
@@ -93,8 +87,6 @@ class TestValueSemantics:
                 assert (modulus, residues) == (x.modulus, x.residues)
             case RationalGF(cons, num, den):
                 assert (cons, num, den) == (x.constraint, x.numerator, x.denominator)
-            case SeriesExpansion(cons, coefficients):
-                assert (cons, coefficients) == (x.constraint, x.coefficients)
             case _:
                 pytest.fail(f"no pattern matched {x!r}")
 
@@ -136,7 +128,6 @@ def test_keyword_construction_and_defaults():
         (lambda: ResidueSystem(5, (1, 2)), r"residues\[r\] must be 1 \+ r\*5//s, 0 <= r < s"),
         (lambda: RationalGF(SC, (1,), (2,)), "denominator constant term must be 1"),
         (lambda: RationalGF(SC, (0,), (1,)), "numerator constant term must be 1"),
-        (lambda: SeriesExpansion(SC, ()), r"series must start with .* a\(0\) = 1"),
         # Fields of exact type int only: a float or bool equal to a valid int is refused.
         (lambda: ResidueSystem(5.0, (1, 3)), r"modulus and residues must be ints, got \(5\.0,"),
         (lambda: ResidueSystem(5, (True, 3)), r"modulus and residues must be ints, got \(5, True"),
@@ -196,7 +187,7 @@ def test_loading_a_pickle_validates_its_fields():
 # The package's public names.  A change to this list changes the library's contract.
 PUBLIC_NAMES = [
     "BRUTE_FORCE_CEILING", "BruteForceCeilingError", "Composition", "RationalGF",
-    "ResidueSystem", "ScaledConstraint", "SeriesExpansion", "all_compositions",
+    "ResidueSystem", "ScaledConstraint", "all_compositions",
     "arndt_compositions", "backward", "build_gf", "congruence_compositions", "count_brute",
     "count_recurrence", "expand", "export_bfile", "forward", "normalize", "residue_system",
     "satisfies", "sequence_range", "write_bfile",
