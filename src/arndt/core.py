@@ -202,15 +202,22 @@ def _congruence_parts(s: int, m: int, stop: int) -> list[int]:
     return [1 + b * m // s for b in range((stop * s - 1) // m + 1)]
 
 
+def _int_text(value: int, name: str) -> str:
+    # value's text for a message, or name past the int-string limit (str() would say to lift it).
+    try:
+        return str(value)
+    except ValueError:
+        return name
+
+
 def _rank(part: int, s: int, modulus: int) -> int:
     # The b with part = 1 + floor(b*modulus/s), i.e. b = ceil((part-1)*s/modulus);
     # a part not of that form lies outside the system.
     b = -((1 - part) * s // modulus)
     if b * modulus // s != part - 1:
-        raise ValueError(
-            f"part {part} outside residue system: its remainder {part % modulus} "
-            f"mod {modulus} is not an admitted residue"
-        )
+        raise ValueError(f"part {_int_text(part, 'p')} outside residue system: its remainder "
+                         f"{_int_text(part % modulus, 'r')} mod {_int_text(modulus, 's+t')} "
+                         "is not an admitted residue")
     return b
 
 

@@ -8,7 +8,9 @@ full set is never held: one walk grows the compositions of n depth first, in lex
 part order, joining each prefix's blocks once (parts for the streams, text for the CLI) at
 amortized O(n) per composition emitted; ``count_brute`` reads only the blocks' sizes, pays
 O(1) per admissible prefix that a block can extend short of n, and counts the others'
-matches at their parent.  Every walk refuses n > ``BRUTE_FORCE_CEILING`` when called.
+matches at their parent.  When called, every walk refuses first a constraint of neither type
+or a ResidueSystem on the Arndt side (TypeError), then k != 0 on a constraint's congruence
+side, then a negative n, then n > ``BRUTE_FORCE_CEILING``.
 
 Streams are single-consumer iterators; counting functions are pure.
 """
@@ -18,7 +20,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from operator import index
 
-from .core import Composition, ResidueSystem, ScaledConstraint, _congruence_parts, _require_pure
+from .core import (
+    Composition, ResidueSystem, ScaledConstraint, _congruence_parts, _int_text, _require_pure,
+)
 
 __all__ = [
     "BRUTE_FORCE_CEILING",
@@ -71,57 +75,37 @@ def all_compositions(n: int) -> Iterator[Composition]:
     return arndt_compositions(n, ScaledConstraint(1, 1, -index(n)))
 
 
-def _require_walkable(n: int) -> None:
+def _blocks(n: int, cons: ScaledConstraint | ResidueSystem, congruence: bool) -> tuple[list, bool]:
+    # One side of cons, after every refusal in one order (type, then k, then n): the blocks that
+    # fit in n, lexicographically, each with its size, and if a final part may end. Arndt side:
+    # part pairs (a, b), True; congruence: the parts of s classes mod m, from s and m, False.
+    if not isinstance(cons, (ScaledConstraint, ResidueSystem)):
+        raise TypeError(f"expected ScaledConstraint or ResidueSystem, got {type(cons).__name__}")
+    if isinstance(cons, ResidueSystem) and not congruence:
+        raise TypeError("expected ScaledConstraint, got ResidueSystem: use congruence_compositions")
+    if isinstance(cons, ScaledConstraint) and congruence:
+        _require_pure(cons)  # residue_system(cons)'s refusal of k != 0
     if n < 0:
-        raise ValueError(f"cannot compose a negative total: {n}")
+        raise ValueError(f"cannot compose a negative total: {_int_text(n, 'n')}")
     if n > BRUTE_FORCE_CEILING:
-        try:
-            walk = f"2**{n - 1}"
-        except ValueError:  # n - 1 past the int-string limit
-            walk = "2**(n-1)"
-        raise BruteForceCeilingError(
-            f"brute-force walk of {walk} compositions refused; ceiling is n = {BRUTE_FORCE_CEILING}"
-        )
-
-
-def _blocks(n: int, constraint: ScaledConstraint | ResidueSystem) -> tuple[list[tuple], bool]:
-    # The blocks that pass the constraint and fit in n, lexicographically, each with its size,
-    # and if a final part may end: Arndt side, part pairs (a, b), True; congruence, parts, False.
-    _require_walkable(n)
-    if isinstance(constraint, ScaledConstraint):
-        s, t, k = constraint.s, constraint.t, constraint.k
+        raise BruteForceCeilingError(f"brute-force walk of 2**{_int_text(n - 1, '(n-1)')} "
+                                     f"compositions refused; ceiling is n = {BRUTE_FORCE_CEILING}")
+    if not congruence:
+        s, t, k = cons.s, cons.t, cons.k
         # s*a > t*b + k iff b <= (s*a - k - 1) // t, floored for every sign of k.
         return [((a, b), a + b) for a in range(1, n)
                 for b in range(1, min(n - a, (s * a - k - 1) // t) + 1)], True
-    if isinstance(constraint, ResidueSystem):
-        return _part_blocks(n, len(constraint.residues), constraint.modulus)
-    raise TypeError(
-        f"expected ScaledConstraint or ResidueSystem, got {type(constraint).__name__}"
-    )
-
-
-def _part_blocks(n: int, s: int, m: int) -> tuple[list[tuple], bool]:
-    # _blocks' congruence side for s classes mod m, from s and m alone (no s-tuple of residues).
-    _require_walkable(n)
+    s, m = ((cons.s, cons.s + cons.t) if isinstance(cons, ScaledConstraint)
+            else (len(cons.residues), cons.modulus))
     return [((p,), p) for p in _congruence_parts(s, m, n)], False
 
 
 def _steps(n: int, side: tuple[list[tuple], bool]) -> list[list]:
-    # steps[r]: the blocks of side = _blocks(n, constraint) that fit in r, lexicographically,
+    # steps[r]: the blocks of side = _blocks(n, cons, congruence) that fit in r, lexicographically,
     # each with the remainder it leaves; on the Arndt side the final part r comes last.
     blocks, final = side
     return [[(block, r - size) for block, size in blocks if size <= r]
             + ([((r,), 0)] if final else []) for r in range(n + 1)]
-
-
-def _table(n: int, cons: ScaledConstraint | ResidueSystem, congruence: bool) -> list[list]:
-    # The _steps table of one side of cons, after its stream's refusals, in their order.
-    if congruence and isinstance(cons, ScaledConstraint):
-        _require_pure(cons)  # residue_system(cons)'s refusal of k != 0, before any walk check
-        return _steps(n, _part_blocks(n, cons.s, cons.s + cons.t))
-    if not congruence and isinstance(cons, ResidueSystem):
-        raise TypeError("expected ScaledConstraint, got ResidueSystem: use congruence_compositions")
-    return _steps(n, _blocks(n, cons))
 
 
 def arndt_compositions(n: int, cons: ScaledConstraint) -> Iterator[Composition]:
@@ -130,20 +114,20 @@ def arndt_compositions(n: int, cons: ScaledConstraint) -> Iterator[Composition]:
     With k != 0 this is the exploratory affine filter, which no closed form checks.
     A ResidueSystem raises TypeError: its side is :func:`congruence_compositions`.
     """
-    return map(Composition._from_checked, _walk(n, _table(n, cons, False)))
+    return map(Composition._from_checked, _walk(n, _steps(n, _blocks(n, cons, False))))
 
 
 def congruence_compositions(n: int, rs: ScaledConstraint | ResidueSystem) -> Iterator[Composition]:
     """The compositions of n with every part inside ``rs``, lexicographically: a ResidueSystem,
     or a ScaledConstraint (k = 0 only), read from s and s+t alone with no s-tuple built."""
-    return map(Composition._from_checked, _walk(n, _table(n, rs, True)))
+    return map(Composition._from_checked, _walk(n, _steps(n, _blocks(n, rs, True))))
 
 
 def _text(n: int, cons: ScaledConstraint, congruence: bool, json: bool) -> Iterator[str]:
     # One side's stream as text: a line "4,1,1\n" or a JSON array "[4, 1, 1]" per composition.
     sep, end, root = (", ", "]", "[") if json else (",", "\n", "")
     rows = [[(sep.join(map(str, block)) + (sep if r else end), r) for block, r in row]
-            for row in _table(n, cons, congruence)]
+            for row in _steps(n, _blocks(n, cons, congruence))]
     return _walk(n, rows, root if n else root + end)  # n = 0: the root is the leaf
 
 
@@ -158,7 +142,7 @@ def count_brute(n: int, constraint: ScaledConstraint | ResidueSystem) -> int:
     >>> count_brute(6, ScaledConstraint(2, 3))
     7
     """
-    blocks, final = _blocks(n, constraint)
+    blocks, final = _blocks(n, constraint, isinstance(constraint, ResidueSystem))
     fits = [0] * (n + 1)  # fits[m]: the admissible blocks of size m
     for _, size in blocks:
         fits[size] += 1

@@ -35,7 +35,9 @@ from collections.abc import Iterator, Sequence
 from itertools import islice
 from operator import index, sub
 
-from .core import ScaledConstraint, _congruence_parts, _ints, _require_pure, _Value, residue_system
+from .core import (
+    ScaledConstraint, _congruence_parts, _int_text, _ints, _require_pure, _Value, residue_system,
+)
 
 __all__ = [
     "RationalGF",
@@ -179,7 +181,8 @@ def count_recurrence(
 def _check_range(n_lo: int, n_hi: int) -> None:
     # index: a float is a TypeError, a bool an int
     if index(n_hi) < index(n_lo) or n_lo < 0 or n_hi > sys.maxsize:
-        raise ValueError(f"need 0 <= n_lo <= n_hi <= sys.maxsize, got [{n_lo}, {n_hi}]")
+        raise ValueError("need 0 <= n_lo <= n_hi <= sys.maxsize, "
+                         f"got [{_int_text(n_lo, 'n_lo')}, {_int_text(n_hi, 'n_hi')}]")
 
 
 def sequence_range(cons: ScaledConstraint, n_lo: int, n_hi: int) -> list[int]:
@@ -217,12 +220,10 @@ def write_bfile(
     _check_range(n_lo, n_hi)
     first = n_lo if offset is None else offset
     last = first + n_hi - n_lo
-    try:  # the longest indices are the ends: str() them before the first write
-        str(first), str(last)
-    except ValueError:
+    if not (_int_text(first, "") and _int_text(last, "")):  # "": no text (the ends are longest)
         raise ValueError(
             f"b-file indices past the int-string limit of {sys.get_int_max_str_digits()} digits"
-        ) from None
+        )
     exact = _exact_context()
     terms = islice(_run(*_form(cons, n_hi), n_hi, Decimal), n_lo, None)
     for lo in range(first, last + 1, _BFILE_CHUNK):

@@ -687,6 +687,18 @@ def test_bfile_indices_past_the_limit_write_nothing(capsys):
     assert "set_int_max_str_digits" not in err
 
 
+def test_a_part_outside_a_system_past_the_limit_names_its_modulus_briefly(capsys):
+    # s + t = 10**4300 has 4301 digits: the message names it as s+t, and does not
+    # ask to lift the limit, a call a CLI user cannot make.
+    with default_int_limit():
+        code, out, err = run(capsys, "unmap", "-s", "1", "-t", "9" * 4300, "-c", "2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: part 2 outside residue system: its remainder 2 mod s+t is not an admitted residue\n"
+    ), err
+    assert "set_int_max_str_digits" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

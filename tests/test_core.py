@@ -1,6 +1,7 @@
 """Domain types, the pair predicate, and residue systems."""
 
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -17,7 +18,13 @@ from arndt.core import (
     residue_system,
     satisfies,
 )
-from arndt.sequence import build_gf, count_recurrence, export_bfile, sequence_range
+from arndt.enumeration import (
+    all_compositions,
+    arndt_compositions,
+    congruence_compositions,
+    count_brute,
+)
+from arndt.sequence import build_gf, count_recurrence, expand, export_bfile, sequence_range
 
 from _reference import coprime_pairs, residue_list
 
@@ -353,3 +360,56 @@ def test_one_offset_guard(call):
     with pytest.raises(ValueError) as got:
         call()
     assert str(got.value) == str(expected.value)
+
+
+OUTSIDE = "part {} outside residue system: its remainder {} mod {} is not an admitted residue"
+RANGE = "need 0 <= n_lo <= n_hi <= sys.maxsize, got [{}, {}]"
+NEGATIVE = "cannot compose a negative total: n"
+FAR = 10**5000
+
+# Under CPython's default int-string limit of 4300 digits, each message that names an int
+# past it names it by a fixed name: s + t = 10**4300, the part 10**4300 + 2 and the remainder
+# 10**4300 + 6 have 4301 digits each, and FAR has 5001.
+PAST_THE_LIMIT = {
+    "decompose-modulus": (lambda: residue_system(ScaledConstraint(1, 10**4300 - 1)).decompose(2),
+                          OUTSIDE.format(2, 2, "s+t")),
+    "decompose-part": (lambda: residue_system(ScaledConstraint(2, 3)).decompose(10**4300 + 2),
+                       OUTSIDE.format("p", 2, 5)),
+    "decompose-remainder": (
+        lambda: residue_system(ScaledConstraint(1, 10**4301 - 2)).decompose(
+            10**4301 + 10**4300 + 5),
+        OUTSIDE.format("p", "r", "s+t"),
+    ),
+    "backward-byte-scan": (lambda: backward(Composition((1, 2)), ScaledConstraint(1, 10**4300 - 1)),
+                           OUTSIDE.format(2, 2, "s+t")),
+    "backward-mask-scan": (lambda: backward(Composition((10**4300 + 2,)), ScaledConstraint(2, 3)),
+                           OUTSIDE.format("p", 2, 5)),
+    "sequence_range-hi": (lambda: sequence_range(ScaledConstraint(2, 3), 0, FAR),
+                          RANGE.format(0, "n_hi")),
+    "sequence_range-lo": (lambda: sequence_range(ScaledConstraint(2, 3), -FAR, 3),
+                          RANGE.format("n_lo", 3)),
+    "export_bfile": (lambda: export_bfile(ScaledConstraint(2, 3), 0, FAR), RANGE.format(0, "n_hi")),
+    "count_recurrence": (lambda: count_recurrence(ScaledConstraint(2, 3), FAR),
+                         RANGE.format(0, "n_hi")),
+    "expand": (lambda: expand(build_gf(ScaledConstraint(2, 3)), FAR), RANGE.format(0, "n_hi")),
+    "count_brute": (lambda: count_brute(-FAR, ScaledConstraint(2, 3)), NEGATIVE),
+    "arndt_compositions": (lambda: arndt_compositions(-FAR, ScaledConstraint(2, 3)), NEGATIVE),
+    "congruence_compositions": (lambda: congruence_compositions(-FAR, ScaledConstraint(2, 3)),
+                                NEGATIVE),
+    "all_compositions": (lambda: all_compositions(-FAR), NEGATIVE),
+}
+
+
+@pytest.mark.parametrize("call,message", PAST_THE_LIMIT.values(), ids=PAST_THE_LIMIT.keys())
+def test_no_message_asks_to_lift_the_int_string_limit(call, message):
+    # str() of such an int raises its own ValueError, whose advice to call
+    # sys.set_int_max_str_digits would replace the message.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as info:
+            call()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (type(info.value), str(info.value)) == (ValueError, message)
+    assert "set_int_max_str_digits" not in str(info.value)

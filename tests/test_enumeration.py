@@ -236,7 +236,8 @@ def test_walks_take_their_side_from_blocks(monkeypatch, final):
     streams = {n: parts_list(arndt_compositions(n, ScaledConstraint(1, 1))) for n in range(13)}
     pairs = arndt.enumeration._blocks
     monkeypatch.setattr(
-        arndt.enumeration, "_blocks", lambda n, c: (pairs(n, ScaledConstraint(1, 1))[0], final)
+        arndt.enumeration, "_blocks",
+        lambda n, c, congruence: (pairs(n, ScaledConstraint(1, 1), congruence)[0], final),
     )
     stand_in = object()
     for n, every in streams.items():
@@ -306,6 +307,48 @@ def test_congruence_side_of_a_constraint_refuses_in_order():
         congruence_compositions(27, ScaledConstraint(1, 1))
     with pytest.raises(ValueError, match="cannot compose a negative total: -1"):
         congruence_compositions(-1, ScaledConstraint(2, 3))
+
+
+NEITHER = (TypeError, "expected ScaledConstraint or ResidueSystem, got object")
+SYSTEM = (TypeError, "expected ScaledConstraint, got ResidueSystem: use congruence_compositions")
+OFFSET = (ValueError, "defined only for offset k = 0: no residue system, bijection or "
+          "generating function is known for k != 0 (got k = 1)")
+NEGATIVE = (ValueError, "cannot compose a negative total: -1")
+CEILING = (BruteForceCeilingError,
+           "brute-force walk of 2**26 compositions refused; ceiling is n = 26")
+CONSTRAINTS = {"neither": object(), "system": residue_system(ScaledConstraint(2, 3)),
+               "affine": ScaledConstraint(1, 1, 1), "pure": ScaledConstraint(2, 3)}
+
+# (constraint, n): the refusals of count_brute, arndt_compositions and congruence_compositions,
+# None where the walk is made. One order for all: the type, then k != 0 on a constraint's
+# congruence side, then n.
+REFUSAL_ORDER = {
+    ("neither", 5): (NEITHER, NEITHER, NEITHER),
+    ("neither", -1): (NEITHER, NEITHER, NEITHER),
+    ("neither", 27): (NEITHER, NEITHER, NEITHER),
+    ("system", 5): (None, SYSTEM, None),
+    ("system", -1): (NEGATIVE, SYSTEM, NEGATIVE),
+    ("system", 27): (CEILING, SYSTEM, CEILING),
+    ("affine", 5): (None, None, OFFSET),
+    ("affine", -1): (NEGATIVE, NEGATIVE, OFFSET),
+    ("affine", 27): (CEILING, CEILING, OFFSET),
+    ("pure", -1): (NEGATIVE, NEGATIVE, NEGATIVE),
+    ("pure", 27): (CEILING, CEILING, CEILING),
+}
+
+
+@pytest.mark.parametrize(
+    "key,refusals", REFUSAL_ORDER.items(), ids=[f"{c}-{n}" for c, n in REFUSAL_ORDER]
+)
+def test_every_walk_refuses_in_one_order(key, refusals):
+    name, n = key
+    for walk, refusal in zip((count_brute, arndt_compositions, congruence_compositions), refusals):
+        if refusal is None:
+            walk(n, CONSTRAINTS[name])
+            continue
+        with pytest.raises(Exception) as info:
+            walk(n, CONSTRAINTS[name])
+        assert (type(info.value), str(info.value)) == refusal, walk.__name__
 
 
 class TestCountBrute:
