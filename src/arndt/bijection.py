@@ -37,7 +37,7 @@ from __future__ import annotations
 from itertools import accumulate, compress, islice
 from operator import add, sub
 
-from .core import Composition, ScaledConstraint, _byte_ranks, _rank, _require_pure
+from .core import Composition, ScaledConstraint, _byte_ranks, _int_text, _rank, _require_pure
 
 __all__ = ["forward", "backward"]
 
@@ -64,8 +64,8 @@ def forward(c: Composition, cons: ScaledConstraint) -> Composition:
         size = sum(sizes[: next(i for i, n in enumerate(sizes) if n < 1)])
         if size <= limit:
             raise ValueError(
-                f"({','.join(map(str, parts))}) violates "
-                f"{cons.s}*a > {cons.t}*b on some pair"
+                f"({_int_text(c, 'c')}) violates "
+                f"{_int_text(cons.s, 's')}*a > {_int_text(cons.t, 't')}*b on some pair"
             )
     if size > limit:
         raise ValueError(f"image exceeds MAX_IMAGE_PARTS = {limit} parts")

@@ -94,7 +94,7 @@ class Composition(_Value):
         # Two C-level passes; exact type int first (no bool), so min sees ints.
         parts = _ints(tuple(parts), "parts must be positive integers: {!r}")
         if parts and min(parts) < 1:
-            raise ValueError(f"parts must be positive integers: {parts!r}")
+            raise ValueError(f"parts must be positive integers: {_int_text(parts, 'parts')}")
         object.__setattr__(self, "parts", parts)  # not super().__init__: a hot path
 
     @classmethod
@@ -141,7 +141,7 @@ def _checked_gcd(s: int, t: int, k: int) -> int:
     # gcd(s, t), once s, t and k pass the rules ScaledConstraint and normalize share.
     _ints((s, t, k), "s, t and k must be ints, got {!r}")
     if s < 1 or t < 1:
-        raise ValueError(f"s and t must be positive, got ({s}, {t})")
+        raise ValueError(f"s and t must be positive, got {_int_text((s, t), '(s, t)')}")
     return gcd(s, t)
 
 
@@ -157,7 +157,8 @@ class ScaledConstraint(_Value):
 
     def __init__(self, s: int, t: int, k: int = 0) -> None:
         if _checked_gcd(s, t, k) != 1:
-            raise ValueError(f"({s}, {t}) is not coprime; reduce it with normalize()")
+            raise ValueError(f"{_int_text((s, t), '(s, t)')} is not coprime; "
+                             "reduce it with normalize()")
         super().__init__(s, t, k)
 
 
@@ -175,7 +176,8 @@ def normalize(s: int, t: int, k: int = 0) -> ScaledConstraint:
     g = _checked_gcd(s, t, k)
     if g > 1 and k != 0:
         raise ValueError(
-            f"non-normalizable affine constraint ({s}, {t}, k={k}): "
+            f"non-normalizable affine constraint ({_int_text(s, 's')}, {_int_text(t, 't')}, "
+            f"k={_int_text(k, 'k')}): "
             "dividing out the gcd changes the affine condition"
         )
     return ScaledConstraint(s // g, t // g, k)
@@ -202,8 +204,9 @@ def _congruence_parts(s: int, m: int, stop: int) -> list[int]:
     return [1 + b * m // s for b in range((stop * s - 1) // m + 1)]
 
 
-def _int_text(value: int, name: str) -> str:
-    # value's text for a message, or name past the int-string limit (str() would say to lift it).
+def _int_text(value: object, name: str) -> str:
+    # str(value) for a message, or name if an int in it is past the int-string limit (str() says to
+    # lift it): an int, or a tuple or Composition of ints.
     try:
         return str(value)
     except ValueError:
@@ -231,7 +234,7 @@ def _byte_ranks(s: int, modulus: int) -> tuple[bytes, bytes]:
 
 def _check_part(part: int) -> None:
     if _ints((part,), "parts are positive integers, got {0[0]!r}")[0] < 1:  # exact ints only
-        raise ValueError(f"parts are positive integers, got {part}")
+        raise ValueError(f"parts are positive integers, got {_int_text(part, 'p')}")
 
 
 class ResidueSystem(_Value):
@@ -251,7 +254,8 @@ class ResidueSystem(_Value):
         _ints((modulus, *rs), "modulus and residues must be ints, got {!r}")
         s = len(rs)
         if not 0 < s < modulus or list(rs) != _congruence_parts(s, modulus, modulus):
-            raise ValueError(f"residues[r] must be 1 + r*{modulus}//s, 0 <= r < s < {modulus}")
+            m = _int_text(modulus, "modulus")
+            raise ValueError(f"residues[r] must be 1 + r*{m}//s, 0 <= r < s < {m}")
         super().__init__(modulus, rs)
 
     @classmethod
@@ -288,7 +292,7 @@ def _require_pure(cons: ScaledConstraint) -> None:
     if cons.k != 0:
         raise ValueError(
             f"defined only for offset k = 0: no residue system, bijection or "
-            f"generating function is known for k != 0 (got k = {cons.k})"
+            f"generating function is known for k != 0 (got k = {_int_text(cons.k, 'k')})"
         )
 
 

@@ -6,19 +6,20 @@ part pairs on the Arndt side, and on the congruence side the parts 1 + b*(s+t)//
 listed from s and s+t alone.  Every admissible prefix finishes in a match, so the
 full set is never held: one walk grows the compositions of n depth first, in lexicographic
 part order, joining each prefix's blocks once (parts for the streams, text for the CLI) at
-amortized O(n) per composition emitted; ``count_brute`` reads only the blocks' sizes, pays
-O(1) per admissible prefix that a block can extend short of n, and counts the others'
-matches at their parent.  When called, every walk refuses first a constraint of neither type
-or a ResidueSystem on the Arndt side (TypeError), then k != 0 on a constraint's congruence
-side, then a negative n, then n > ``BRUTE_FORCE_CEILING``.
+amortized O(n) per composition emitted.  ``count_brute`` reads only the blocks' sizes: beside the
+listing, its node table takes O(n) steps from prefix counts and its walk O(1) per admissible prefix
+that a block can extend short of n; the others' matches count at their parent.  When called, every
+walk refuses first a constraint of neither type or a ResidueSystem on the Arndt side (TypeError),
+then k != 0 on a constraint's congruence side, then a negative n, then n > ``BRUTE_FORCE_CEILING``.
 
 Streams are single-consumer iterators; counting functions are pure.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
-from operator import index
+from operator import index, itemgetter, neg, sub
 
 from .core import (
     Composition, ResidueSystem, ScaledConstraint, _congruence_parts, _int_text, _require_pure,
@@ -92,8 +93,8 @@ def _blocks(n: int, cons: ScaledConstraint | ResidueSystem, congruence: bool) ->
                                      f"compositions refused; ceiling is n = {BRUTE_FORCE_CEILING}")
     if not congruence:
         s, t, k = cons.s, cons.t, cons.k
-        # s*a > t*b + k iff b <= (s*a - k - 1) // t, floored for every sign of k.
-        return [((a, b), a + b) for a in range(1, n)
+        # s*a > t*b + k iff b <= (s*a - k - 1) // t, floored for any k: b = 1 from a > (t+k)/s.
+        return [((a, b), a + b) for a in range(max(1, (t + k) // s + 1), n)
                 for b in range(1, min(n - a, (s * a - k - 1) // t) + 1)], True
     s, m = ((cons.s, cons.s + cons.t) if isinstance(cons, ScaledConstraint)
             else (len(cons.residues), cons.modulus))
@@ -136,28 +137,27 @@ def count_brute(n: int, constraint: ScaledConstraint | ResidueSystem) -> int:
 
     ``constraint`` may be a :class:`ScaledConstraint` (Arndt filter, affine
     offsets included) or a :class:`ResidueSystem` (congruence filter).  The
-    count reads only the admissible blocks' sizes and builds no composition.
-    Refuses n beyond :data:`BRUTE_FORCE_CEILING`.
+    count reads only the admissible blocks' sizes and builds no composition:
+    beside listing them, its node table takes O(n) steps from prefix counts and
+    its walk O(1) per admissible prefix.  Refuses n beyond :data:`BRUTE_FORCE_CEILING`.
 
     >>> count_brute(6, ScaledConstraint(2, 3))
     7
     """
     blocks, final = _blocks(n, constraint, isinstance(constraint, ResidueSystem))
-    fits = [0] * (n + 1)  # fits[m]: the admissible blocks of size m
-    for _, size in blocks:
-        fits[size] += 1
-    lo = next((m for m, f in enumerate(fits) if f), n)  # r <= lo: a leaf, no block fits short of r
-    # One node per remainder r, nodes[r] = (ends, kids): from r the fits[r] blocks of size r
-    # end a composition, as do the Arndt side's final part r (for n = 0, the empty prefix) and
-    # the ends of the leaf that each block of size m >= r - lo leaves; kids are the nodes that
-    # smaller blocks leave, largest first: back lists -m by size m < r; nodes[-m] is nodes[r-m].
-    back, nodes = [], [(1, [])]
-    get = nodes.__getitem__
-    for r in range(1, n + 1):
-        back += [1 - r] * fits[r - 1]
-        to_leaf = range(max(1, r - lo), r)
-        nodes.append((fits[r] + final + sum(fits[m] * (fits[r - m] + final) for m in to_leaf),
-                      [*map(get, back[:len(back) - sum(fits[m] for m in to_leaf)])]))
+    sizes = sorted(map(itemgetter(1), blocks))
+    below = [bisect_left(sizes, m) for m in range(n + 2)]  # below[m]: the blocks of size < m
+    fits = [*map(sub, below[1:], below)]  # fits[m]: the blocks of size m
+    lo = sizes[0] if sizes else n  # r <= lo: a leaf, no block fits short of r
+    # nodes[r] = (ends, kids). No leaf is a kid, so each r <= lo holds a leaf n's (ends, []): its
+    # blocks of size n and final part end (n = 0: the empty prefix). Each r = lo + a takes O(1)
+    # steps beside its kids: from r end its fits[r] blocks of size r, the Arndt side's final part
+    # and the leaf each block of size m >= a leaves (its final part; if m = a, its fits[lo] blocks);
+    # kids are nodes[r-m], read as nodes[-m] from back, for the blocks of size m < a, largest first.
+    back, nodes = [*map(neg, sizes)], [(fits[n] + final if n else 1, [])] * (lo + 1)
+    for a in range(1, n - lo + 1):
+        nodes.append((fits[lo + a] + final * (1 + below[lo + a] - below[a]) + fits[a] * fits[lo],
+                      [*map(nodes.__getitem__, back[:below[a]])]))
     # One pop per admissible prefix leaving r > lo, brute force: leaves are added by the parent.
     count, stack = 0, [nodes[n]]
     pop = stack.pop

@@ -413,3 +413,46 @@ def test_no_message_asks_to_lift_the_int_string_limit(call, message):
         sys.set_int_max_str_digits(limit)
     assert (type(info.value), str(info.value)) == (ValueError, message)
     assert "set_int_max_str_digits" not in str(info.value)
+
+
+AFFINE_TAIL = "dividing out the gcd changes the affine condition"
+OFFSET_ONLY = ("defined only for offset k = 0: no residue system, bijection or generating "
+               "function is known for k != 0 (got k = {})")
+
+# The constructors, the part check and forward's violation name an int past the limit, or
+# the tuple that holds it, by its field or parameter name; each int here (10**4300,
+# 2*10**4300) has 4301 digits.
+CHECKS_PAST_THE_LIMIT = {
+    "ScaledConstraint-not-coprime": (lambda: ScaledConstraint(2 * 10**4300, 4),
+                                     "(s, t) is not coprime; reduce it with normalize()"),
+    "ScaledConstraint-negative": (lambda: ScaledConstraint(-10**4300, 4),
+                                  "s and t must be positive, got (s, t)"),
+    "normalize-affine": (lambda: normalize(2 * 10**4300, 4, 1),
+                         f"non-normalizable affine constraint (s, 4, k=1): {AFFINE_TAIL}"),
+    "ResidueSystem-modulus": (lambda: ResidueSystem(10**4300, (2,)),
+                              "residues[r] must be 1 + r*modulus//s, 0 <= r < s < modulus"),
+    "contains-part": (lambda: residue_system(ScaledConstraint(2, 3)).contains(-10**4300),
+                      "parts are positive integers, got p"),
+    "forward-violates": (lambda: forward(Composition((1, 10**4300)), ScaledConstraint(1, 1)),
+                         "(c) violates 1*a > 1*b on some pair"),
+    "residue_system-offset": (lambda: residue_system(ScaledConstraint(1, 1, 10**4300)),
+                              OFFSET_ONLY.format("k")),
+    "Composition-part": (lambda: Composition((1, -10**4300)),
+                         "parts must be positive integers: parts"),
+}
+
+
+@pytest.mark.parametrize("call,message", CHECKS_PAST_THE_LIMIT.values(),
+                         ids=CHECKS_PAST_THE_LIMIT.keys())
+def test_checks_name_ints_past_the_int_string_limit(call, message):
+    # str() of such an int raises its own ValueError, whose advice to call
+    # sys.set_int_max_str_digits would replace the check's message.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as info:
+            call()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert "set_int_max_str_digits" not in str(info.value)
+    assert (type(info.value), str(info.value)) == (ValueError, message)
