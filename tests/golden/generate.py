@@ -63,6 +63,14 @@ def cases():
         ["residues", "-s", "1000001", "-t", "1"],
         ["residues", "-s", "3", "-t", "1000000000000000000000"],
         ["bfile", "-s", "2", "-t", "3", "--range", "3..3", "--offset", "-5"],
+        # Past CPython's default int-string limit of 4300 digits, in output (the modulus of
+        # residues, map's anchor, unmap's a = 10**4300), in a message (a part outside a
+        # residue system of s + t = 10**4300) and in b-file indices.
+        ["residues", "-s", "1", "-t", "9" * 4300],
+        ["map", "-s", "2", "-t", "1", "-c", f"{5 * 10**4299},{10**4300 - 1}"],
+        ["unmap", "-s", "1", "-t", str(10**4300 - 3), "-c", f"1,1,{10**4300 - 1}"],
+        ["unmap", "-s", "1", "-t", "9" * 4300, "-c", "2"],
+        ["bfile", "-s", "1", "-t", "1", "--range", "0..100", "--offset", str(10**4300 - 70)],
         # Usage errors.
         ["count", "-s", "2", "-t", "3"],
         ["count", "-s", "0", "-t", "3", "-n", "5"],
