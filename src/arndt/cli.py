@@ -24,7 +24,7 @@ from itertools import islice
 from math import gcd
 
 from .bijection import backward, forward
-from .core import Composition, ScaledConstraint, normalize, residue_system
+from .core import Composition, ScaledConstraint, _decimal, normalize, residue_system
 from .enumeration import _text, arndt_compositions, count_brute
 # export_bfile is unused here, but bench/worker.py's traced run patches
 # arndt.cli.export_bfile, so the name stays importable from this module.
@@ -86,18 +86,6 @@ def _range(text: str) -> tuple[int, int]:
     raise argparse.ArgumentTypeError(f"range {text!r} is not LO..HI with LO <= HI")
 
 
-def _decimal_list(ints) -> str:
-    """The ints' decimal text, comma-separated.  An int past the interpreter's
-    int-string limit is refused with a message that names the limit (str()'s
-    own says to lift it, a call that a CLI user cannot make)."""
-    try:
-        return ",".join(map(str, ints))
-    except ValueError:
-        raise ValueError(
-            f"an output integer is past the int-string limit of {sys.get_int_max_str_digits()} digits"
-        ) from None
-
-
 def cmd_count(args, cons: ScaledConstraint) -> None:
     from decimal import Decimal  # exact text of an int of any length, with no int-to-str limit
     brute = args.method == "brute" or cons.k  # main admits no other method for k != 0
@@ -117,11 +105,11 @@ def cmd_enumerate(args, cons: ScaledConstraint) -> None:
 
 
 def cmd_map(args, cons: ScaledConstraint) -> None:
-    sys.stdout.write(f"{_decimal_list(forward(args.composition, cons))}\n")
+    sys.stdout.write(f"{_decimal(forward(args.composition, cons))}\n")
 
 
 def cmd_unmap(args, cons: ScaledConstraint) -> None:
-    sys.stdout.write(f"{_decimal_list(backward(args.composition, cons))}\n")
+    sys.stdout.write(f"{_decimal(backward(args.composition, cons))}\n")
 
 
 def cmd_residues(args, cons: ScaledConstraint) -> None:
@@ -135,8 +123,7 @@ def cmd_residues(args, cons: ScaledConstraint) -> None:
         raise ValueError(f"residues line of about {width} characters refused; "
                          f"bound is {bound}, the line of s = {_RESIDUES_CEILING} at t = 1")
     rs = residue_system(cons)
-    residues, modulus = _decimal_list(rs.residues), _decimal_list((rs.modulus,))
-    sys.stdout.write(f"{residues} (mod {modulus})\n")
+    sys.stdout.write(f"{_decimal(rs.residues)} (mod {_decimal((rs.modulus,))})\n")
 
 
 def _render_table(rows: list[list[str]], aligns: str) -> str:

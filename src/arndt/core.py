@@ -22,6 +22,7 @@ stream items) skip the part check through ``Composition._from_checked``.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from math import gcd
 from operator import countOf
@@ -36,10 +37,29 @@ __all__ = [
 ]
 
 
-def _ints(values: tuple, error: str) -> tuple:
+def _ints(values: tuple, error: str, name: str) -> tuple:
     if countOf(map(type, values), int) != len(values):  # exact ints: no bool, float or numpy
-        raise ValueError(error.format(values))
+        raise ValueError(error + _int_text(values, name))
     return values
+
+
+def _int_text(value: object, name: str, text=str) -> str:
+    # text(value), by str or repr, for a message: an int, or a tuple or Composition of ints. Where
+    # an int is past the int-string limit, whose ValueError says to lift it, name instead.
+    try:
+        return text(value)
+    except ValueError:
+        return name
+
+
+def _decimal(ints, what: str = "an output integer is") -> str:
+    # The ints' decimal text, comma-joined, for output. Past the int-string limit, a ValueError
+    # that names the limit: str()'s own says to lift it, a call that a CLI user cannot make.
+    try:
+        return ",".join(map(str, ints))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{what} past the int-string limit of {limit} digits") from None
 
 
 class _Value:
@@ -92,7 +112,7 @@ class Composition(_Value):
 
     def __init__(self, parts: tuple[int, ...]) -> None:
         # Two C-level passes; exact type int first (no bool), so min sees ints.
-        parts = _ints(tuple(parts), "parts must be positive integers: {!r}")
+        parts = _ints(tuple(parts), "parts must be positive integers: ", "parts")
         if parts and min(parts) < 1:
             raise ValueError(f"parts must be positive integers: {_int_text(parts, 'parts')}")
         object.__setattr__(self, "parts", parts)  # not super().__init__: a hot path
@@ -139,7 +159,7 @@ class Composition(_Value):
 
 def _checked_gcd(s: int, t: int, k: int) -> int:
     # gcd(s, t), once s, t and k pass the rules ScaledConstraint and normalize share.
-    _ints((s, t, k), "s, t and k must be ints, got {!r}")
+    _ints((s, t, k), "s, t and k must be ints, got ", "(s, t, k)")
     if s < 1 or t < 1:
         raise ValueError(f"s and t must be positive, got {_int_text((s, t), '(s, t)')}")
     return gcd(s, t)
@@ -204,15 +224,6 @@ def _congruence_parts(s: int, m: int, stop: int) -> list[int]:
     return [1 + b * m // s for b in range((stop * s - 1) // m + 1)]
 
 
-def _int_text(value: object, name: str) -> str:
-    # str(value) for a message, or name if an int in it is past the int-string limit (str() says to
-    # lift it): an int, or a tuple or Composition of ints.
-    try:
-        return str(value)
-    except ValueError:
-        return name
-
-
 def _rank(part: int, s: int, modulus: int) -> int:
     # The b with part = 1 + floor(b*modulus/s), i.e. b = ceil((part-1)*s/modulus);
     # a part not of that form lies outside the system.
@@ -233,8 +244,8 @@ def _byte_ranks(s: int, modulus: int) -> tuple[bytes, bytes]:
 
 
 def _check_part(part: int) -> None:
-    if _ints((part,), "parts are positive integers, got {0[0]!r}")[0] < 1:  # exact ints only
-        raise ValueError(f"parts are positive integers, got {_int_text(part, 'p')}")
+    if type(part) is not int or part < 1:  # exact ints only
+        raise ValueError(f"parts are positive integers, got {_int_text(part, 'p', repr)}")
 
 
 class ResidueSystem(_Value):
@@ -251,7 +262,7 @@ class ResidueSystem(_Value):
 
     def __init__(self, modulus: int, residues: tuple[int, ...]) -> None:
         rs = tuple(residues)  # a tuple is not copied; the check copies it once, with the modulus
-        _ints((modulus, *rs), "modulus and residues must be ints, got {!r}")
+        _ints((modulus, *rs), "modulus and residues must be ints, got ", "(modulus, *residues)")
         s = len(rs)
         if not 0 < s < modulus or list(rs) != _congruence_parts(s, modulus, modulus):
             m = _int_text(modulus, "modulus")

@@ -36,7 +36,8 @@ from itertools import islice
 from operator import index, sub
 
 from .core import (
-    ScaledConstraint, _congruence_parts, _int_text, _ints, _require_pure, _Value, residue_system,
+    ScaledConstraint, _congruence_parts, _decimal, _int_text, _ints, _require_pure, _Value,
+    residue_system,
 )
 
 __all__ = [
@@ -65,7 +66,8 @@ class RationalGF(_Value):
             raise ValueError("denominator constant term must be 1")
         if not numerator or numerator[0] != 1:
             raise ValueError("numerator constant term must be 1, so that a(0) = 1")
-        _ints((*numerator, *denominator), "coefficients must be ints, got {!r}")
+        _ints((*numerator, *denominator), "coefficients must be ints, got ",
+              "(*numerator, *denominator)")
         super().__init__(constraint, numerator, denominator)
 
 
@@ -220,10 +222,7 @@ def write_bfile(
     _check_range(n_lo, n_hi)
     first = n_lo if offset is None else offset
     last = first + n_hi - n_lo
-    if not (_int_text(first, "") and _int_text(last, "")):  # "": no text (the ends are longest)
-        raise ValueError(
-            f"b-file indices past the int-string limit of {sys.get_int_max_str_digits()} digits"
-        )
+    _decimal((first, last), "b-file indices")  # the ends are the longest indices
     exact = _exact_context()
     terms = islice(_run(*_form(cons, n_hi), n_hi, Decimal), n_lo, None)
     for lo in range(first, last + 1, _BFILE_CHUNK):
