@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from itertools import islice
 from math import gcd
 
@@ -195,6 +196,7 @@ def _add_command(sub, name, func, help, affine=None) -> argparse.ArgumentParser:
     return p
 
 
+@cache  # once per process: parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arndt",

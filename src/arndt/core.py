@@ -117,15 +117,6 @@ class Composition(_Value):
             raise ValueError(f"parts must be positive integers: {_int_text(parts, 'parts')}")
         object.__setattr__(self, "parts", parts)  # not super().__init__: a hot path
 
-    @classmethod
-    def _from_checked(cls, parts: tuple[int, ...]) -> "Composition":
-        """Unchecked, for parts that are exact ints >= 1 by construction: forward's input
-        parts, 1s and anchors 1 + b*(s+t)//s >= 2; backward's a = ones + p - b >= 1, b >= 1
-        and trailing run >= 1; enumeration._walk's leaves, joined from its table's range ints."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "parts", parts)
-        return self
-
     @property
     def total(self) -> int:
         """The number being composed (sum of parts)."""
@@ -155,6 +146,20 @@ class Composition(_Value):
 
     def __getitem__(self, i):
         return self.parts[i]
+
+
+def _from_checked(parts: tuple[int, ...], new=object.__new__, cls=Composition,
+                  set_parts=Composition.parts.__set__) -> Composition:
+    """Unchecked, for parts that are exact ints >= 1 by construction: forward's input
+    parts, 1s and anchors 1 + b*(s+t)//s >= 2; backward's a = ones + p - b >= 1, b >= 1
+    and trailing run >= 1; enumeration._walk's leaves, joined from its table's range ints.
+    A stream calls it per item, so object.__new__ and the slot's setter are bound once."""
+    self = new(cls)
+    set_parts(self, parts)
+    return self
+
+
+Composition._from_checked = staticmethod(_from_checked)
 
 
 def _checked_gcd(s: int, t: int, k: int) -> int:

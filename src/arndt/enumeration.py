@@ -8,7 +8,9 @@ full set is never held: one walk grows the compositions of n depth first, in lex
 part order, joining each prefix's blocks once (parts for the streams, text for the CLI) at
 amortized O(n) per composition emitted.  ``count_brute`` reads only the blocks' sizes: beside the
 listing, its node table takes O(n) steps from prefix counts and its walk O(1) per admissible prefix
-that a block can extend short of n; the others' matches count at their parent.  When called, every
+that a block can extend short of n; the others' matches count at their parent.  That walk pops
+prefixes depth first while the remainder is above 22 and reads each subtree from there in one C pass
+over at most its 2**21 prefixes, so every prefix is still visited once.  When called, every
 walk refuses first a constraint of neither type or a ResidueSystem on the Arndt side (TypeError),
 then k != 0 on a constraint's congruence side, then a negative n, then n > ``BRUTE_FORCE_CEILING``.
 
@@ -18,6 +20,7 @@ Streams are single-consumer iterators; counting functions are pure.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from collections.abc import Iterator
 from operator import index, itemgetter, neg, sub
 
@@ -35,9 +38,13 @@ __all__ = [
 ]
 
 # Largest n any walk (count_brute, the three streams, enumerate's text) will take: at worst
-# (k << 0) 2**25 matches, counted in about 0.3 s, streamed in about 20 s or written as text in
+# (k << 0) 2**25 matches, counted in about 0.18 s, streamed in about 15 s or written as text in
 # about 7 s of CPU (Intel Xeon vCPU, Python 3.11); larger n is refused, not run unbounded.
+# count_brute's memory is bounded as well: it reads the subtree below a remainder r <= 22 in one
+# pass that holds at most its 2**(r-1) prefixes (the compositions of r), so 2**21 references,
+# about 17 MB, at any n up to this ceiling, and visits each prefix once, as a pop would.
 BRUTE_FORCE_CEILING = 26
+_PASS_REMAINDER = 22  # a constant of that bound, not a knob: smaller cutoffs measured slower
 
 
 class BruteForceCeilingError(ValueError):
@@ -139,7 +146,12 @@ def count_brute(n: int, constraint: ScaledConstraint | ResidueSystem) -> int:
     offsets included) or a :class:`ResidueSystem` (congruence filter).  The
     count reads only the admissible blocks' sizes and builds no composition:
     beside listing them, its node table takes O(n) steps from prefix counts and
-    its walk O(1) per admissible prefix.  Refuses n beyond :data:`BRUTE_FORCE_CEILING`.
+    its walk O(1) per admissible prefix.  The walk pops one prefix at a time,
+    depth first, while the remainder is above 22; below, it reads each subtree
+    in one C pass over a list that grows as it is read.  Either way each
+    admissible prefix is visited once, with no memo or multiplicity, and one
+    pass holds at most 2**21 references (the compositions of 22).
+    Refuses n beyond :data:`BRUTE_FORCE_CEILING`.
 
     >>> count_brute(6, ScaledConstraint(2, 3))
     7
@@ -149,22 +161,26 @@ def count_brute(n: int, constraint: ScaledConstraint | ResidueSystem) -> int:
     below = [bisect_left(sizes, m) for m in range(n + 2)]  # below[m]: the blocks of size < m
     fits = [*map(sub, below[1:], below)]  # fits[m]: the blocks of size m
     lo = sizes[0] if sizes else n  # r <= lo: a leaf, no block fits short of r
-    # nodes[r] = (ends, kids). No leaf is a kid, so each r <= lo holds a leaf n's (ends, []): its
-    # blocks of size n and final part end (n = 0: the empty prefix). Each r = lo + a takes O(1)
+    # nodes[r] = (ends, kids, r). No leaf is a kid, so each r <= lo holds a leaf n's (ends, [], n):
+    # its blocks of size n and final part end (n = 0: the empty prefix). Each r = lo + a takes O(1)
     # steps beside its kids: from r end its fits[r] blocks of size r, the Arndt side's final part
     # and the leaf each block of size m >= a leaves (its final part; if m = a, its fits[lo] blocks);
     # kids are nodes[r-m], read as nodes[-m] from back, for the blocks of size m < a, largest first.
-    back, nodes = [*map(neg, sizes)], [(fits[n] + final if n else 1, [])] * (lo + 1)
+    back, nodes = [*map(neg, sizes)], [(fits[n] + final if n else 1, [], n)] * (lo + 1)
     for a in range(1, n - lo + 1):
         nodes.append((fits[lo + a] + final * (1 + below[lo + a] - below[a]) + fits[a] * fits[lo],
-                      [*map(nodes.__getitem__, back[:below[a]])]))
-    # One pop per admissible prefix leaving r > lo, brute force: leaves are added by the parent.
+                      [*map(nodes.__getitem__, back[:below[a]])], lo + a))
+    # Each admissible prefix leaving r > lo is visited once, brute force: leaves are added by the
+    # parent. Above _PASS_REMAINDER, one pop per prefix, depth first; from a node at or below it,
+    # its whole subtree in one C pass over a list that grows as it is read.
     count, stack = 0, [nodes[n]]
-    pop = stack.pop
-    try:
-        while True:
-            ends, kids = pop()
+    while stack:
+        ends, kids, r = node = stack.pop()
+        if r > _PASS_REMAINDER:
             count += ends
             stack += kids
-    except IndexError:  # only pop raises it, on the empty stack: every prefix is counted
-        return count
+        else:
+            queue = [node]
+            deque(map(queue.extend, filter(None, map(itemgetter(1), queue))), 0)
+            count += sum(map(itemgetter(0), queue))
+    return count

@@ -2,6 +2,7 @@
 
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -194,6 +195,20 @@ def test_count_brute_admits_every_composition_past_twenty():
     cons = ScaledConstraint(1, 1, -10**6)
     for n in (21, 22, 23):
         assert count_brute(n, cons) == 2 ** (n - 1)
+
+
+def test_count_brute_holds_one_bounded_pass():
+    # Below remainder 22 a subtree is read in one pass over at most its 2**21 prefixes, not a
+    # list of every visit: (7, 1)'s congruence side at n = 24 keeps 8,079,008 matches under 16 MB,
+    # where one list over the whole walk peaks near 31 MB (tracemalloc's peak).
+    rs = residue_system(ScaledConstraint(7, 1))
+    tracemalloc.start()
+    try:
+        assert count_brute(24, rs) == 8079008
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 10**6, peak
 
 
 def test_count_brute_reads_no_term_engine(monkeypatch):
